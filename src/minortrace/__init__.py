@@ -74,6 +74,7 @@ from .probe import (
     aba_via_blocks,
     induction_equalities,
     probe_converse,
+    probe_witness,
 )
 from .oracle import (
     EquivalenceReport,

@@ -35,9 +35,9 @@ class BenchResult:
 def run_bench(n: int, ring: Ring | None = None, reps: int = 5, seed: int = 0) -> BenchResult:
     """Time naive_aba vs structured_aba on one structured A and random B.
 
-    The structure check is disabled in the timed region (the generator
-    guarantees the precondition); correctness is verified once, before
-    timing, by comparing the two outputs exactly.  Medians over reps.
+    The fast side is timed with its structure check on, as users run it;
+    correctness is verified once, before timing, by comparing the two
+    outputs exactly.  Medians over reps.
     """
     if ring is None:
         ring = ModularRing(DEFAULT_BENCH_MODULUS)
@@ -45,7 +45,7 @@ def run_bench(n: int, ring: Ring | None = None, reps: int = 5, seed: int = 0) ->
     a = outer(random_matrix(rng, ring, n, 1), random_matrix(rng, ring, 1, n))
     b = random_matrix(rng, ring, n, n)
 
-    fast = structured_aba(a, b, check=False)
+    fast = structured_aba(a, b)
     slow = naive_aba(a, b)
     if fast != slow:
         raise RuntimeError("kernel disagreement on generator-structured input")
@@ -57,7 +57,7 @@ def run_bench(n: int, ring: Ring | None = None, reps: int = 5, seed: int = 0) ->
         naive_aba(a, b)
         naive_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        structured_aba(a, b, check=False)
+        structured_aba(a, b)
         fast_times.append(time.perf_counter() - t0)
 
     naive_median = statistics.median(naive_times)

@@ -21,7 +21,7 @@ from .bench import DEFAULT_BENCH_MODULUS, run_bench
 from .kernels import StructurePreconditionFailed, naive_aba, structured_aba, structured_power
 from .matrices import Matrix, MatrixError
 from .oracle import TooLargeToEnumerate, exhaustive_characterization, verify_identity
-from .probe import probe_converse
+from .probe import ProbeReport, probe_converse, probe_witness
 from .rings import IntegerRing, PrimeFieldRing, RingError
 from .serialize import (
     SerializeError,
@@ -37,6 +37,7 @@ from .serialize import (
     verdict_to_obj,
 )
 from .structure import (
+    MinorWitness,
     NoNilpotentScalar,
     PreconditionViolated,
     check_vanishing_minors,
@@ -80,10 +81,9 @@ def _check_default() -> bool:
     return value != "0"
 
 
-def _emit_precondition_witness(a: Matrix) -> int:
-    report = probe_converse(a)
-    _emit(probe_report_to_obj(a.ring, report))
-    w = report.witness
+def _emit_precondition_witness(a: Matrix, witness: MinorWitness) -> int:
+    w = probe_witness(a, witness)
+    _emit(probe_report_to_obj(a.ring, ProbeReport(structured=False, witness=w)))
     _note(
         "structure precondition failed: nonzero minor at rows "
         f"({w.minor.i + 1},{w.minor.j + 1}) cols ({w.minor.k + 1},{w.minor.l + 1})"
@@ -122,11 +122,10 @@ def _cmd_verify(args) -> int:
         _note("identity holds" if ok else "identity violated")
         return 0 if ok else 1
     if args.mode == "fast":
-        if _check_default():
-            verdict = check_vanishing_minors(a)
-            if not verdict.structured:
-                return _emit_precondition_witness(a)
-        result = structured_aba(a, b, check=False)
+        try:
+            result = structured_aba(a, b, check=_check_default())
+        except StructurePreconditionFailed as exc:
+            return _emit_precondition_witness(a, exc.witness)
         _emit({"result": matrix_to_obj(result)})
         _note("fast kernel result emitted")
         return 0
@@ -186,8 +185,8 @@ def _cmd_power(args) -> int:
         return 2
     try:
         result = structured_power(a, args.exponent, check=_check_default())
-    except StructurePreconditionFailed:
-        return _emit_precondition_witness(a)
+    except StructurePreconditionFailed as exc:
+        return _emit_precondition_witness(a, exc.witness)
     _emit(matrix_to_obj(result))
     _note(f"power {args.exponent} emitted")
     return 0

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from .kernels import naive_aba
 from .matrices import Matrix, NotSquare, TooSmall
 from .rings import ModularRing, PrimeFieldRing, Ring
-from .structure import check_vanishing_minors
+# the literal minor scan, not the certificate: the oracle's minor side must
+# stay independent of the fast structure test it cross-checks
+from .structure import _scan_minors
 
 
 class TooLargeToEnumerate(Exception):
@@ -128,7 +130,7 @@ def exhaustive_characterization(
     minors_count = 0
     mismatches: list[Matrix] = []
     for index, a in enumerate(iter_all_matrices(ring, n)):
-        structured = check_vanishing_minors(a).structured
+        structured = _scan_minors(a).structured
         if use_probes:
             holds = universal_identity_via_probes(a)
             if spot_check_every and index % spot_check_every == 0:

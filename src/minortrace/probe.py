@@ -22,7 +22,7 @@ from .matrices import (
     block_join,
 )
 from .rings import RingElem, RingMismatch
-from .structure import iter_minor_indices
+from .structure import MinorWitness, check_vanishing_minors
 
 
 @dataclass(frozen=True)
@@ -52,36 +52,39 @@ class ProbeReport:
 
 
 def probe_converse(a: Matrix) -> ProbeReport:
-    """Find the first nonzero minor and the probe entry it breaks.
+    """Find the first nonzero minor and the probe entry it breaks."""
+    if not a.is_square:
+        raise NotSquare(f"square matrix required, got {a.rows}x{a.cols}")
+    if a.rows < 2:
+        raise TooSmall("probe needs n >= 2")
+    verdict = check_vanishing_minors(a)
+    if verdict.structured:
+        return ProbeReport(structured=True, witness=None)
+    return ProbeReport(structured=False, witness=probe_witness(a, verdict.witness))
+
+
+def probe_witness(a: Matrix, witness: MinorWitness) -> ProbeWitness:
+    """The unit probe that a nonzero minor of A breaks, in O(1).
 
     For the minor at rows (i, j), cols (k, l), the probe B has its 1 at
     (l, j).  A @ B @ A equals col_l(A) @ row_j(A), so its (i, k) entry is
     a[i][l] * a[j][k]; the right side's entry is a[j][l] * a[i][k].  The
     probe is computed from these closed forms without materializing B.
     """
-    if not a.is_square:
-        raise NotSquare(f"square matrix required, got {a.rows}x{a.cols}")
-    if a.rows < 2:
-        raise TooSmall("probe needs n >= 2")
     ring = a.ring
-    zero = ring.zero
     d = a.data
-    for idx in iter_minor_indices(a.rows, a.cols):
-        i, j, k, l = idx.i, idx.j, idx.k, idx.l
-        v = ring.sub(ring.mul(d[i][k], d[j][l]), ring.mul(d[i][l], d[j][k]))
-        if v != zero:
-            witness = ProbeWitness(
-                minor=idx,
-                minor_value=RingElem(ring, v),
-                unit_row=l,
-                unit_col=j,
-                entry_row=i,
-                entry_col=k,
-                lhs=RingElem(ring, ring.mul(d[i][l], d[j][k])),
-                rhs=RingElem(ring, ring.mul(d[j][l], d[i][k])),
-            )
-            return ProbeReport(structured=False, witness=witness)
-    return ProbeReport(structured=True, witness=None)
+    idx = witness.index
+    i, j, k, l = idx.i, idx.j, idx.k, idx.l
+    return ProbeWitness(
+        minor=idx,
+        minor_value=witness.value,
+        unit_row=l,
+        unit_col=j,
+        entry_row=i,
+        entry_col=k,
+        lhs=RingElem(ring, ring.mul(d[i][l], d[j][k])),
+        rhs=RingElem(ring, ring.mul(d[j][l], d[i][k])),
+    )
 
 
 @dataclass(frozen=True)

@@ -77,13 +77,20 @@ def _bump(mul: int, add: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Primality (deterministic Miller-Rabin; exact for n < 3.3e24)
+# Primality (Miller-Rabin on the prime bases 2..41)
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witness set)."""
+    """Miller-Rabin primality test with the prime bases 2..41.
+
+    Exact below psi_13 = 3317044064679887385961981 (about 3.3e24), the
+    smallest strong pseudoprime to all thirteen bases (Sorenson and
+    Webster, Math. Comp. 2017).  Bases 2..37 alone are fooled by
+    psi_12 = 318665857834031151167461.  Above psi_13 a True answer means a
+    strong probable prime.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd
 
 from .matrices import Matrix, MinorIndex, NotSquare, ShapeMismatch
 from .rings import (
@@ -22,6 +24,7 @@ from .rings import (
     RingElem,
     RingMismatch,
     UnsupportedRing,
+    _bump,
     divexact,
     elem_gcd,
 )
@@ -82,10 +85,25 @@ def iter_minor_indices(rows: int, cols: int):
 
 
 def check_vanishing_minors(a: Matrix) -> StructureVerdict:
-    """Scan all 2x2 minors; report the first nonzero one as a witness.
+    """Decide whether all 2x2 minors vanish; report the first nonzero one if not.
 
+    A yes answer is settled by the O(n^2) pivot certificate alone, except
+    over Z/m[x] when every entry is a zero divisor.  The lexicographic scan
+    runs only after the certificate has found a nonzero minor (to name the
+    first one as the witness) or could not decide.
     Rectangular matrices are allowed, and a single row or column (or a 1x1
     matrix) is vacuously structured.
+    """
+    if _certify(a):
+        return StructureVerdict(structured=True, witness=None)
+    return _scan_minors(a)
+
+
+def _scan_minors(a: Matrix) -> StructureVerdict:
+    """Scan all 2x2 minors in lexicographic order; O(n^4) on a yes answer.
+
+    This is the witness finder behind check_vanishing_minors and, called
+    directly, the oracle's independent minor-side reference.
     """
     ring = a.ring
     zero = ring.zero
@@ -102,6 +120,123 @@ def check_vanishing_minors(a: Matrix) -> StructureVerdict:
                         witness = MinorWitness(MinorIndex(i, j, k, l), RingElem(ring, v))
                         return StructureVerdict(structured=False, witness=witness)
     return StructureVerdict(structured=True, witness=None)
+
+
+# ---------------------------------------------------------------------------
+# Pivot certificate
+#
+# If c = a[p][q] is not a zero divisor, all 2x2 minors vanish exactly when
+# a[i][j] * c == a[i][q] * a[p][j] for every (i, j).  Those equalities are
+# the minors through row p and column q; any other minor times c^2 expands
+# to zero, and c^2 is not a zero divisor either.  The sweep is division-free
+# and costs 2 multiplications per entry.
+
+
+def _certify(a: Matrix) -> bool:
+    """True when every 2x2 minor of a is proven zero, in O(n^2) operations.
+
+    False means a nonzero minor exists, or (over Z/m[x] only) no entry is a
+    usable pivot; either way the scan has the last word.
+    """
+    if a.rows < 2 or a.cols < 2:
+        return True
+    ring = a.ring
+    if isinstance(ring, IntegerRing):
+        return _certify_residues(a.data, None)
+    if isinstance(ring, ModularRing):
+        return _certify_residues(a.data, ring.modulus)
+    if isinstance(ring, PrimeFieldRing):
+        return _certify_residues(a.data, ring.p)
+    if isinstance(ring, PolynomialRing):
+        return _certify_polynomials(a.data, ring)
+    return False
+
+
+def _certify_residues(rows, m: int | None) -> bool:
+    """The certificate over Z (m is None) or Z/m, on raw integer entries.
+
+    The pivot is the first nonzero entry over Z and the first unit over
+    Z/m.  Without a unit, either all entries share a factor g of m, and
+    A = g A' reduces the question to A' over Z/(m / gcd(g^2, m)); or some
+    entry's gcd with m splits m into two coprime parts, and the question
+    splits with it (CRT).  Neither step factors m.
+    """
+    for p, row in enumerate(rows):
+        for q, x in enumerate(row):
+            if x and (m is None or gcd(x, m) == 1):
+                return _pivot_sweep(rows, p, q, m)
+    if m is None:
+        return True  # the zero matrix
+    g = gcd(m, *chain.from_iterable(rows))
+    if g > 1:
+        m2 = m // gcd(g * g, m)
+        return m2 == 1 or _certify_residues(_reduce(rows, g, m2), m2)
+    # no unit and no common factor: every nonzero entry shares some prime
+    # with m, and some entry misses a prime of m (else rad(m) would divide g)
+    for x in chain.from_iterable(rows):
+        d = gcd(m, x)
+        rest = m  # the largest divisor of m coprime to d
+        while (t := gcd(rest, d)) > 1:
+            rest //= t
+        if 1 < rest < m:
+            part = m // rest
+            return _certify_residues(_reduce(rows, 1, part), part) and _certify_residues(
+                _reduce(rows, 1, rest), rest
+            )
+    raise AssertionError("unreachable: some entry splits the modulus")
+
+
+def _reduce(rows, g: int, m: int) -> list:
+    return [[x // g % m for x in row] for row in rows]
+
+
+def _pivot_sweep(rows, p: int, q: int, m: int | None) -> bool:
+    """Check a[i][j] * c == a[i][q] * a[p][j] for c = a[p][q], row by row."""
+    rp = rows[p]
+    c = rp[q]
+    swept = 0
+    for ri in rows:
+        swept += 1
+        u = ri[q]
+        if m is None:
+            broken = any(c * x - u * y for x, y in zip(ri, rp))
+        else:
+            broken = any((c * x - u * y) % m for x, y in zip(ri, rp))
+        if broken:
+            break
+    _bump(2 * len(rp) * swept, 0)  # the row that breaks counts in full
+    return not broken
+
+
+def _certify_polynomials(rows, ring: PolynomialRing) -> bool:
+    """The certificate over R[x] (and R[x][y]) with ring arithmetic.
+
+    Over Z, GF(p) and their polynomial rings every nonzero entry is a
+    pivot.  Over Z/m a polynomial is a zero divisor only if a nonzero
+    constant kills it (McCoy), so the pivot must have coefficients whose
+    gcd with m is 1; without one, the certificate declines.
+    """
+    ground = ring.base
+    depth = 1
+    while isinstance(ground, PolynomialRing):
+        ground = ground.base
+        depth += 1
+    m = ground.modulus if isinstance(ground, ModularRing) else None
+    for row in rows:
+        for q, x in enumerate(row):
+            if x and (m is None or _content_gcd(x, depth, m) == 1):
+                mul = ring.mul
+                return all(
+                    mul(x, v) == mul(ri[q], w) for ri in rows for v, w in zip(ri, row)
+                )
+    return not any(map(any, rows))  # the zero matrix; else no regular pivot
+
+
+def _content_gcd(value, depth: int, g: int) -> int:
+    """gcd of g and every ground coefficient of a polynomial nested depth deep."""
+    for c in value:
+        g = gcd(g, c) if depth == 1 else _content_gcd(c, depth - 1, g)
+    return g
 
 
 def outer(col: Matrix, row: Matrix) -> Matrix:

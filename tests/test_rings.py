@@ -101,6 +101,14 @@ def test_is_prime_small():
     assert not is_prime(2**61 + 1)
 
 
+def test_is_prime_rejects_strong_pseudoprime_to_bases_up_to_37():
+    # psi_12, the smallest strong pseudoprime to every prime base 2..37
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+    assert is_prime(399165290221) and is_prime(798330580441)
+
+
 def test_ring_axioms_bulk(ring):
     """Associativity, commutativity, distributivity, inverses: 10^4 triples."""
     rng = random.Random(0xA5)

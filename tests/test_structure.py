@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minortrace import (
     Matrix,
@@ -17,6 +19,7 @@ from minortrace import (
     StructureVerdict,
     UnsupportedRing,
     check_vanishing_minors,
+    count_ops,
     decompose_2x2_gcd,
     decompose_rank1_field,
     find_nilpotent_scalar,
@@ -24,7 +27,8 @@ from minortrace import (
     outer,
     random_matrix,
 )
-from support import GF5, INT, MOD4, all_minors_naive, matrices
+from minortrace.structure import _certify
+from support import ALL_RINGS, GF5, INT, MOD4, RING_IDS, all_minors_naive, matrices, raw_values
 
 
 def mat(rows, ring=INT):
@@ -216,3 +220,113 @@ def test_nilscalar_can_produce_scaled_identity_flavor():
     a = Matrix.from_rows(MOD4, [[2, 0], [0, 2]])
     assert check_vanishing_minors(a).structured
     assert not a.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The pivot certificate against the independent enumerator
+
+
+def assert_matches_naive(a):
+    """Verdict and first witness agree with all_minors_naive; the certificate is sound."""
+    nonzero = [(pos, v) for pos, v in all_minors_naive(a) if not v.is_zero()]
+    verdict = check_vanishing_minors(a)
+    assert verdict.structured == (not nonzero)
+    if nonzero:
+        pos, value = nonzero[0]
+        idx = verdict.witness.index
+        assert (idx.i, idx.j, idx.k, idx.l) == pos
+        assert verdict.witness.value == value
+    certified = _certify(a)
+    assert not (certified and nonzero)
+    return certified, verdict.structured
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (6, 2), (8, 2), (2, 3), (3, 3)])
+def test_certificate_exhaustive_small_rings(m, n):
+    ring = ModularRing(m)
+    for entries in itertools.product(range(m), repeat=n * n):
+        a = Matrix(ring, tuple(entries[r * n : (r + 1) * n] for r in range(n)))
+        certified, structured = assert_matches_naive(a)
+        # over Z/m the certificate decides every yes answer without a scan
+        assert certified == structured
+
+
+def nilpotent_scalar(ring):
+    base = ring.base if isinstance(ring, PolynomialRing) else ring
+    s = find_nilpotent_scalar(base)
+    return None if s is None else ring.canon(s)
+
+
+@st.composite
+def certificate_cases(draw, ring):
+    """Random, outer, nilscalar, sparse and zero-leading-row matrices, any shape."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "outer", "nilscalar", "sparse", "zero-leading-row"]))
+    values = raw_values(ring)
+    if kind == "sparse":
+        values = st.one_of(st.just(ring.zero), st.just(ring.zero), values)
+
+    def grid(r, c):
+        return Matrix.from_rows(ring, [[draw(values) for _ in range(c)] for _ in range(r)])
+
+    if kind == "random":
+        return grid(rows, cols)
+    a = outer(grid(rows, 1), grid(1, cols))
+    if kind == "nilscalar":
+        s = nilpotent_scalar(ring)
+        a = grid(rows, cols).scale(s) if s is not None else a.scale(ring.elem(draw(values)))
+    elif kind == "zero-leading-row":
+        if draw(st.booleans()):
+            a = grid(rows, cols)
+        a = Matrix(ring, ((ring.zero,) * cols,) + a.data[1:])
+    return a
+
+
+MOD6 = ModularRing(6)
+MOD72 = ModularRing(72)
+POLY_MOD4 = PolynomialRing(MOD4)
+
+
+@pytest.mark.parametrize(
+    "ring", ALL_RINGS + [MOD6, MOD72, POLY_MOD4], ids=RING_IDS + ["mod6", "mod72", "polymod4"]
+)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_certificate_agrees_with_independent_enumerator(ring, data):
+    a = data.draw(certificate_cases(ring))
+    certified, structured = assert_matches_naive(a)
+    if ring != POLY_MOD4:  # only Z/m[x] may lack a pivot that is not a zero divisor
+        assert certified == structured
+
+
+@pytest.mark.parametrize(
+    "ring,pivot,other",
+    [(MOD6, 2, 3), (ModularRing(12), 3, 4), (PolynomialRing(MOD6), [2], [0, 3])],
+    ids=["mod6", "mod12", "polymod6"],
+)
+def test_certificate_rejects_zero_divisor_pivots(ring, pivot, other):
+    # every minor through a[0][0] vanishes, but pivot * other = 0 while
+    # other * other != 0, so the minor of the lower corner does not
+    zero = ring.zero
+    a = Matrix.from_rows(ring, [[pivot, zero, zero], [zero, other, zero], [zero, zero, other]])
+    certified, structured = assert_matches_naive(a)
+    assert not certified and not structured
+
+
+def test_certificate_scan_fallback_over_polynomials_mod_m():
+    # every entry is a multiple of 2 in Z/4[x], so no pivot qualifies
+    a = Matrix.from_rows(POLY_MOD4, [[[2], [0, 2]], [[0, 2], [2]]])
+    assert not _certify(a)
+    assert check_vanishing_minors(a).structured
+    assert_matches_naive(a)
+
+
+def test_certificate_uses_2n_squared_multiplications():
+    n = 32
+    a = gen_structured(3, ModularRing(2**61 - 1), n, "outer")
+    with count_ops() as counts:
+        assert check_vanishing_minors(a).structured
+    # the full scan would do 2 * C(n, 2)^2 = 492032 multiplications here;
+    # the certificate's own products are counted, in bulk
+    assert n * n <= counts.mul <= 2 * n * n + 10 * n
