@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the kernel benchmark over matrix sizes and print a table.
 
-The speedup should grow roughly linearly in n: the naive oracle does
-2n^3 ring multiplications against the kernel's 2n^2.
+The naive oracle does 2n^3 ring multiplications against the kernel's 2n^2,
+but its products are packed big-integer products whose speed per
+multiplication also grows with n, so the speedup grows more slowly than n.
 """
 
 import argparse

@@ -3,7 +3,9 @@
 The default ring is Z/(2^61 - 1): a large prime modulus keeps every residue
 the same machine size, so the measurement isolates the n^2-vs-n^3 effect
 from big-integer growth.  An integers-ring run is possible but measures the
-mixed effect of both.
+mixed effect of both.  The oracle's two products run as packed big-integer
+products (see Ring.matmul), so the speedup is that of the kernel over the
+fastest exact product here, not over a dot loop.
 """
 
 from __future__ import annotations

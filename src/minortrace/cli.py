@@ -14,6 +14,7 @@ precondition checking of the fast commands.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -109,8 +110,9 @@ def _cmd_verify(args) -> int:
     a = _load_matrix(args.matrix_a)
     b = _load_matrix(args.matrix_b)
     if args.mode == "naive":
-        aba = naive_aba(a, b)
-        residual = verify_identity(a, b)
+        ab = a @ b
+        aba = ab @ a
+        residual = verify_identity(a, b, ab=ab, aba=aba)
         ok = residual.is_zero()
         _emit(
             {
@@ -294,10 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one per process serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

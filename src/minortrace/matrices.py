@@ -3,6 +3,8 @@
 Entries are stored as canonical raw ring values in row-major tuples;
 everything is immutable and every operation returns a fresh matrix.
 Indices are 0-based throughout the library; the CLI renders them 1-based.
+The product ``@`` is the ring's ``matmul``: a packed big-integer product
+over Z, Z/m and GF(p), one dot product per entry over polynomial rings.
 """
 
 from __future__ import annotations
@@ -177,11 +179,7 @@ class Matrix:
             raise ShapeMismatch(
                 f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        dot = self.ring.dot
-        bcols = tuple(zip(*other.data))
-        return Matrix(
-            self.ring, tuple(tuple(dot(row, c) for c in bcols) for row in self.data)
-        )
+        return Matrix(self.ring, self.ring.matmul(self.data, other.data))
 
     def scale(self, factor) -> "Matrix":
         """factor * self, entrywise; factor is a RingElem or raw value."""

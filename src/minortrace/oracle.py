@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .kernels import naive_aba
+from .kernels import _square_pair
 from .matrices import Matrix, NotSquare, TooSmall
-from .rings import ModularRing, PrimeFieldRing, Ring
+from .rings import Ring, _ResidueRing
 # the literal minor scan, not the certificate: the oracle's minor side must
 # stay independent of the fast structure test it cross-checks
 from .structure import _scan_minors
@@ -28,9 +28,20 @@ class TooLargeToEnumerate(Exception):
 ENUMERATION_BUDGET = 10**6  # max matrices per exhaustive sweep
 
 
-def verify_identity(a: Matrix, b: Matrix) -> Matrix:
-    """Residual A B A - Tr(A @ B) * A; zero iff the identity holds for (A, B)."""
-    return naive_aba(a, b) - a.scale((a @ b).trace())
+def verify_identity(
+    a: Matrix, b: Matrix, *, ab: Matrix | None = None, aba: Matrix | None = None
+) -> Matrix:
+    """Residual A B A - Tr(A @ B) * A; zero iff the identity holds for (A, B).
+
+    Forms A @ B once and (A @ B) @ A from it, two O(n^3) products, unless
+    the caller passes in the products it has already formed.
+    """
+    _square_pair(a, b)
+    if ab is None:
+        ab = a @ b
+    if aba is None:
+        aba = ab @ a
+    return aba - a.scale(ab.trace())
 
 
 def universal_identity_via_probes(a: Matrix) -> bool:
@@ -58,12 +69,9 @@ def universal_identity_via_probes(a: Matrix) -> bool:
 
 
 def _enumerable_values(ring: Ring, n: int) -> range:
-    if isinstance(ring, ModularRing):
-        m = ring.modulus
-    elif isinstance(ring, PrimeFieldRing):
-        m = ring.p
-    else:
+    if not isinstance(ring, _ResidueRing):
         raise TooLargeToEnumerate(f"{ring} is not a finite enumerable ring")
+    m = ring._m
     if m ** (n * n) > ENUMERATION_BUDGET:
         raise TooLargeToEnumerate(
             f"{m}^{n * n} matrices exceed the {ENUMERATION_BUDGET} budget"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd
+from math import gcd, isqrt
 
 from .matrices import Matrix, MinorIndex, NotSquare, ShapeMismatch
 from .rings import (
@@ -24,6 +24,7 @@ from .rings import (
     RingElem,
     RingMismatch,
     UnsupportedRing,
+    _ResidueRing,
     _bump,
     divexact,
     elem_gcd,
@@ -143,10 +144,8 @@ def _certify(a: Matrix) -> bool:
     ring = a.ring
     if isinstance(ring, IntegerRing):
         return _certify_residues(a.data, None)
-    if isinstance(ring, ModularRing):
-        return _certify_residues(a.data, ring.modulus)
-    if isinstance(ring, PrimeFieldRing):
-        return _certify_residues(a.data, ring.p)
+    if isinstance(ring, _ResidueRing):
+        return _certify_residues(a.data, ring._m)
     if isinstance(ring, PolynomialRing):
         return _certify_polynomials(a.data, ring)
     return False
@@ -320,10 +319,8 @@ def random_elem(rng: random.Random, ring: Ring, bound: int = DEFAULT_ENTRY_BOUND
     """A random canonical raw value; integers bounded, residues uniform."""
     if isinstance(ring, IntegerRing):
         return rng.randint(-bound, bound)
-    if isinstance(ring, ModularRing):
-        return rng.randrange(ring.modulus)
-    if isinstance(ring, PrimeFieldRing):
-        return rng.randrange(ring.p)
+    if isinstance(ring, _ResidueRing):
+        return rng.randrange(ring._m)
     if isinstance(ring, PolynomialRing):
         coeffs = [random_elem(rng, ring.base, bound) for _ in range(rng.randint(1, 3))]
         return ring.canon(coeffs)
@@ -346,15 +343,37 @@ def random_matrix(
     )
 
 
+NILSCALAR_MODULUS_BOUND = 2**64  # trial division to the cube root stays fast
+
+
 def find_nilpotent_scalar(ring: Ring) -> int | None:
-    """The smallest nonzero residue s with s*s = 0, or None."""
+    """The smallest nonzero residue s with s*s = 0, or None.
+
+    Over Z/m with m = prod p^e that is s = prod p^ceil(e/2), the smallest s
+    with m | s^2; it is a residue below m unless m is squarefree.  Trial
+    division runs while p^3 <= the unfactored part r, so every prime left
+    in r exceeds its cube root: r is 1, a prime, p*q or p^2, and only p^2
+    (found by isqrt) contributes less than all of r.  Moduli of
+    NILSCALAR_MODULUS_BOUND and above raise ValueError.
+    """
     if not isinstance(ring, ModularRing):
         return None
     m = ring.modulus
-    for s in range(1, m):
-        if s * s % m == 0:
-            return s
-    return None
+    if m >= NILSCALAR_MODULUS_BOUND:
+        raise ValueError(
+            f"nilpotent scalar search needs a modulus below 2^64, got {m}"
+        )
+    s, r, p = 1, m, 2
+    while p * p * p <= r:
+        e = 0
+        while r % p == 0:
+            r //= p
+            e += 1
+        s *= p ** ((e + 1) // 2)
+        p += 1 if p == 2 else 2
+    root = isqrt(r)
+    s *= root if root * root == r else r
+    return s if s < m else None
 
 
 def gen_structured(

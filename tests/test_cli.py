@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from minortrace import Matrix, ModularRing
+import minortrace
+from minortrace import Matrix, ModularRing, count_ops
 from minortrace.cli import main
 from minortrace.serialize import dumps, matrix_from_obj, matrix_to_obj
 from support import INT
@@ -215,3 +219,61 @@ def test_bench_param_validation(capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(minortrace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("MINORTRACE_CHECK", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "minortrace", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(files, capsys, monkeypatch):
+    monkeypatch.delenv("MINORTRACE_CHECK", raising=False)
+    calls = [
+        ["check", files["a"]],
+        ["verify", files["a"], files["b"], "--naive"],
+        ["verify", files["a"]],  # parse error: matrix_b missing
+        ["probe", files["i2"]],
+        ["power", files["a"], "three"],  # parse error: exponent not an int
+        ["verify", files["i2"], files["b"], "--fast"],
+        ["exhaust", "--ring", "mod:2", "--n", "2"],
+        ["frobnicate"],
+        ["power", files["a"], "3"],
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(list(argv))
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    assert [c for c, _, _ in in_process] == [0, 0, 2, 1, 2, 3, 0, 2, 0]
+    assert in_process == [fresh_process(argv) for argv in calls]
+
+
+def test_verify_naive_forms_two_products(tmp_path, capsys):
+    n = 6
+    rows = [[(i * 7 + j * 3) % 11 - 5 for j in range(n)] for i in range(n)]
+    a = write_matrix(tmp_path / "a.json", rows)
+    b = write_matrix(tmp_path / "b.json", [list(reversed(r)) for r in rows])
+    with count_ops() as ops:
+        code, payload, _ = run(capsys, "verify", a, b, "--naive")
+    assert code in (0, 1) and "residual" in payload
+    assert ops.mul == 2 * n**3 + n * n  # A @ B, (A @ B) @ A, then Tr(AB) * A
+
+
+def test_gen_nilscalar_refuses_huge_modulus(capsys):
+    code, payload, err = run(
+        capsys, "gen", "--ring", f"mod:{2**70}", "--n", "2", "--mode", "nilscalar"
+    )
+    assert code == 2 and payload is None and "2^64" in err
+    code, payload, _ = run(
+        capsys, "gen", "--ring", f"mod:{2**61 - 1}", "--n", "2", "--mode", "nilscalar"
+    )
+    assert code == 2 and payload is None

@@ -9,6 +9,7 @@ from minortrace import (
     TooLargeToEnumerate,
     TooSmall,
     check_vanishing_minors,
+    count_ops,
     exhaustive_characterization,
     iter_all_matrices,
     random_matrix,
@@ -27,6 +28,18 @@ def test_verify_identity_examples():
     assert verify_identity(mat([[3, 4], [6, 8]]), mat([[1, 2], [0, 1]])).is_zero()
     eye = Matrix.identity(INT, 2)
     assert verify_identity(eye, eye) == -eye  # I I I - Tr(I) I = -I over Z
+
+
+def test_verify_identity_forms_two_products():
+    n = 12
+    rng = random.Random(97)
+    a = random_matrix(rng, INT, n, n)
+    b = random_matrix(rng, INT, n, n)
+    with count_ops() as ops:
+        residual = verify_identity(a, b)
+    assert ops.mul == 2 * n**3 + n * n  # A @ B, (A @ B) @ A, then Tr(AB) * A
+    ab = a @ b
+    assert verify_identity(a, b, ab=ab, aba=ab @ a) == residual
 
 
 def test_verify_identity_n1_is_always_zero(ring):

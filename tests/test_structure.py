@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +213,25 @@ def test_find_nilpotent_scalar():
     assert find_nilpotent_scalar(ModularRing(9)) == 3
     assert find_nilpotent_scalar(ModularRing(6)) is None  # squarefree
     assert find_nilpotent_scalar(INT) is None
+
+
+def test_find_nilpotent_scalar_agrees_with_the_residue_loop():
+    for m in range(2, 5001):
+        want = next((s for s in range(1, m) if s * s % m == 0), None)
+        assert find_nilpotent_scalar(ModularRing(m)) == want, m
+
+
+def test_find_nilpotent_scalar_large_moduli():
+    p61 = 2**61 - 1
+    start = time.perf_counter()
+    assert find_nilpotent_scalar(ModularRing(p61)) is None  # prime
+    assert time.perf_counter() - start < 5.0  # the residue loop needs ~2^61 steps
+    with pytest.raises(ValueError):
+        find_nilpotent_scalar(ModularRing(2**64))
+    q = 2**31 - 1  # a prime just above the cube root of q^2 * 3
+    assert find_nilpotent_scalar(ModularRing(3 * q * q)) == 3 * q
+    assert find_nilpotent_scalar(ModularRing(2**63)) == 2**32
+    assert find_nilpotent_scalar(ModularRing(1009**2 * 1013)) == 1009 * 1013
 
 
 def test_nilscalar_can_produce_scaled_identity_flavor():
