@@ -7,10 +7,9 @@ multiplication also grows with n, so the speedup grows more slowly than n.
 """
 
 import argparse
-import json
 
 from minortrace import run_bench
-from minortrace.serialize import dumps, ring_to_obj
+from minortrace.serialize import bench_result_to_obj, dumps
 
 
 def main() -> None:
@@ -28,14 +27,7 @@ def main() -> None:
     for n in sizes:
         r = run_bench(n, reps=args.reps, seed=args.seed)
         if args.json:
-            print(dumps({
-                "n": r.n,
-                "ring": ring_to_obj(r.ring),
-                "reps": r.reps,
-                "naive_median_s": r.naive_median,
-                "fast_median_s": r.fast_median,
-                "speedup": r.speedup,
-            }))
+            print(dumps(bench_result_to_obj(r)))
         else:
             print(f"{r.n:>6} {r.naive_median:>12.5f} {r.fast_median:>12.5f} {r.speedup:>8.1f}x")
 

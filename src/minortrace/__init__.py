@@ -52,7 +52,6 @@ from .structure import (
     decompose_rank1_field,
     find_nilpotent_scalar,
     gen_structured,
-    iter_minor_indices,
     outer,
     random_elem,
     random_matrix,

@@ -26,6 +26,7 @@ from .probe import ProbeReport, probe_converse, probe_witness
 from .rings import IntegerRing, PrimeFieldRing, RingError
 from .serialize import (
     SerializeError,
+    bench_result_to_obj,
     dumps,
     equivalence_report_to_obj,
     factors_to_obj,
@@ -34,7 +35,6 @@ from .serialize import (
     matrix_to_obj,
     parse_ring_spec,
     probe_report_to_obj,
-    ring_to_obj,
     verdict_to_obj,
 )
 from .structure import (
@@ -55,6 +55,7 @@ _INPUT_ERRORS = (
     NoNilpotentScalar,
     TooLargeToEnumerate,
     OSError,
+    ValueError,
 )
 
 
@@ -222,17 +223,7 @@ def _cmd_bench(args) -> int:
         return 2
     ring = parse_ring_spec(args.ring)
     result = run_bench(args.n, ring, args.reps, args.seed)
-    _emit(
-        {
-            "n": result.n,
-            "ring": ring_to_obj(result.ring),
-            "reps": result.reps,
-            "naive_median_s": result.naive_median,
-            "fast_median_s": result.fast_median,
-            "speedup": result.speedup,
-            "agreement_checked": result.agreement_checked,
-        }
-    )
+    _emit(bench_result_to_obj(result))
     _note(
         f"n={result.n}: naive {result.naive_median:.4f}s, fast {result.fast_median:.4f}s, "
         f"speedup {result.speedup:.1f}x"
@@ -313,9 +304,6 @@ def main(argv=None) -> int:
         _note(f"error: {exc}")
         return 3
     except _INPUT_ERRORS as exc:
-        _note(f"error: {exc}")
-        return 2
-    except ValueError as exc:
         _note(f"error: {exc}")
         return 2
 

@@ -72,7 +72,8 @@ def _enumerable_values(ring: Ring, n: int) -> range:
     if not isinstance(ring, _ResidueRing):
         raise TooLargeToEnumerate(f"{ring} is not a finite enumerable ring")
     m = ring._m
-    if m ** (n * n) > ENUMERATION_BUDGET:
+    # m >= 2, so m^k exceeds the budget once k reaches the budget's bit length
+    if m ** min(n * n, ENUMERATION_BUDGET.bit_length()) > ENUMERATION_BUDGET:
         raise TooLargeToEnumerate(
             f"{m}^{n * n} matrices exceed the {ENUMERATION_BUDGET} budget"
         )
@@ -116,6 +117,7 @@ class EquivalenceReport:
 
 
 MISMATCH_CAP = 10
+SPOT_CHECK_EVERY = 100  # probe decisions re-checked by the full-B loop
 
 
 def exhaustive_characterization(
@@ -123,13 +125,13 @@ def exhaustive_characterization(
     n: int,
     *,
     use_probes: bool = True,
-    spot_check_every: int = 100,
 ) -> EquivalenceReport:
     """Enumerate every A over a small finite ring and cross-classify it.
 
     With use_probes (the default) the for-every-B side runs on the n^2 unit
-    probes, with a full-B enumeration spot check every spot_check_every
-    matrices; with use_probes=False every A gets the full-B loop.
+    probes, and every SPOT_CHECK_EVERY-th matrix (the first included) also
+    runs the full-B enumeration, which must agree; with use_probes=False
+    every A gets the full-B loop.
     """
     if n < 2:
         raise TooSmall("exhaustive characterization needs n >= 2")
@@ -141,7 +143,7 @@ def exhaustive_characterization(
         structured = _scan_minors(a).structured
         if use_probes:
             holds = universal_identity_via_probes(a)
-            if spot_check_every and index % spot_check_every == 0:
+            if index % SPOT_CHECK_EVERY == 0:
                 if holds != universal_identity_by_enumeration(a):
                     raise RuntimeError(
                         f"probe decision disagrees with full enumeration at {a!r}"

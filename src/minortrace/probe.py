@@ -12,16 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .kernels import _square_pair
 from .matrices import (
     BlockSplit,
     Matrix,
     MinorIndex,
     NotSquare,
-    ShapeMismatch,
     TooSmall,
     block_join,
 )
-from .rings import RingElem, RingMismatch
+from .rings import RingElem
 from .structure import MinorWitness, check_vanishing_minors
 
 
@@ -110,12 +110,7 @@ class InductionResiduals:
 
 
 def _split_pair(a: Matrix, b: Matrix):
-    if a.ring != b.ring:
-        raise RingMismatch(f"{a.ring} vs {b.ring}")
-    if not (a.is_square and b.is_square and a.rows == b.rows):
-        raise ShapeMismatch(
-            f"two n x n matrices required, got {a.rows}x{a.cols} and {b.rows}x{b.cols}"
-        )
+    _square_pair(a, b)
     if a.rows < 2:
         raise TooSmall("block equalities need n >= 2")
     return a.block_split(), b.block_split()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 
+from .bench import BenchResult
 from .matrices import Matrix
 from .probe import ProbeReport
 from .oracle import EquivalenceReport
@@ -44,7 +45,7 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise SerializeError(f"invalid JSON: {exc}") from exc
 
 
@@ -124,12 +125,12 @@ def elem_to_obj(ring: Ring, value):
 
 
 def elem_from_obj(ring: Ring, obj):
-    """Parse one element into canonical raw form."""
+    """Decode one element into raw form; Matrix.from_rows canonicalizes it."""
     if isinstance(ring, PolynomialRing):
         if not isinstance(obj, list):
             raise SerializeError(f"polynomial element expects an array, got {obj!r}")
-        return ring.canon([elem_from_obj(ring.base, c) for c in obj])
-    return ring.canon(_parse_int(obj, "element"))
+        return [elem_from_obj(ring.base, c) for c in obj]
+    return _parse_int(obj, "element")
 
 
 def matrix_to_obj(m: Matrix) -> dict:
@@ -194,6 +195,18 @@ def factors_to_obj(factors: OuterFactors | None) -> dict:
             "col": matrix_to_obj(factors.col),
             "row": matrix_to_obj(factors.row),
         }
+    }
+
+
+def bench_result_to_obj(result: BenchResult) -> dict:
+    return {
+        "n": result.n,
+        "ring": ring_to_obj(result.ring),
+        "reps": result.reps,
+        "naive_median_s": result.naive_median,
+        "fast_median_s": result.fast_median,
+        "speedup": result.speedup,
+        "agreement_checked": result.agreement_checked,
     }
 
 

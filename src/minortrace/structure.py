@@ -76,15 +76,6 @@ class OuterFactors:
         return self.col @ self.row
 
 
-def iter_minor_indices(rows: int, cols: int):
-    """All 2x2 minor positions of a rows x cols matrix, lexicographically."""
-    for i in range(rows - 1):
-        for j in range(i + 1, rows):
-            for k in range(cols - 1):
-                for l in range(k + 1, cols):
-                    yield MinorIndex(i, j, k, l)
-
-
 def check_vanishing_minors(a: Matrix) -> StructureVerdict:
     """Decide whether all 2x2 minors vanish; report the first nonzero one if not.
 
@@ -240,13 +231,7 @@ def _content_gcd(value, depth: int, g: int) -> int:
 
 def outer(col: Matrix, row: Matrix) -> Matrix:
     """The product col @ row; every 2x2 minor of the result vanishes."""
-    if col.ring != row.ring:
-        raise RingMismatch(f"{col.ring} vs {row.ring}")
-    if col.cols != 1:
-        raise ShapeMismatch(f"column expected, got {col.rows}x{col.cols}")
-    if row.rows != 1:
-        raise ShapeMismatch(f"row expected, got {row.rows}x{row.cols}")
-    return col @ row
+    return OuterFactors(col, row).product()
 
 
 def decompose_rank1_field(a: Matrix) -> OuterFactors | None:
@@ -334,6 +319,8 @@ def random_matrix(
     cols: int,
     bound: int = DEFAULT_ENTRY_BOUND,
 ) -> Matrix:
+    if rows < 1 or cols < 1:
+        raise ShapeMismatch("matrix dimensions must be at least 1x1")
     return Matrix(
         ring,
         tuple(

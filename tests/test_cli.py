@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -277,3 +278,38 @@ def test_gen_nilscalar_refuses_huge_modulus(capsys):
         capsys, "gen", "--ring", f"mod:{2**61 - 1}", "--n", "2", "--mode", "nilscalar"
     )
     assert code == 2 and payload is None
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_gen_rejects_order_below_one(capsys, n):
+    code, payload, err = run(capsys, "gen", "--n", n)
+    assert (code, payload) == (2, None)
+    assert err == "error: matrix dimensions must be at least 1x1\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_deeply_nested_json_is_invalid_input(tmp_path, capsys, monkeypatch, source):
+    text = "[" * 200_000
+    if source == "file":
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        argv = ["check", str(path)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        argv = ["check", "-"]
+    code, payload, err = run(capsys, *argv)
+    assert (code, payload) == (2, None)
+    assert err.startswith("error: invalid JSON: ")
+
+
+def test_exhaust_budget_check_builds_no_huge_integer(capsys):
+    # 3^(4000^2) has about 25 million bits; deciding the budget must not build it
+    tracemalloc.start()
+    try:
+        code, payload, err = run(capsys, "exhaust", "--ring", "mod:3", "--n", "4000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, payload) == (2, None)
+    assert err == "error: 3^16000000 matrices exceed the 1000000 budget\n"
+    assert peak < 2**20
