@@ -7,19 +7,22 @@ summary on stderr.  Exit codes: 0 success / identity holds / structured,
 
 Matrix files use the JSON layout from the serialize module; "-" reads the
 matrix from stdin.  Ring specs: "int", "mod:<m>", "gf:<p>", "poly:int:x".
-The MINORTRACE_CHECK environment variable (0 or 1) overrides the default
-precondition checking of the fast commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from .bench import DEFAULT_BENCH_MODULUS, run_bench
-from .kernels import StructurePreconditionFailed, naive_aba, structured_aba, structured_power
+from .kernels import (
+    StructurePreconditionFailed,
+    _square_pair,
+    naive_aba,
+    structured_aba,
+    structured_power,
+)
 from .matrices import Matrix, MatrixError
 from .oracle import TooLargeToEnumerate, exhaustive_characterization, verify_identity
 from .probe import ProbeReport, probe_converse, probe_witness
@@ -76,13 +79,6 @@ def _load_matrix(path: str) -> Matrix:
     return matrix_from_obj(loads(text))
 
 
-def _check_default() -> bool:
-    value = os.environ.get("MINORTRACE_CHECK")
-    if value is None:
-        return True
-    return value != "0"
-
-
 def _emit_precondition_witness(a: Matrix, witness: MinorWitness) -> int:
     w = probe_witness(a, witness)
     _emit(probe_report_to_obj(a.ring, ProbeReport(structured=False, witness=w)))
@@ -111,6 +107,7 @@ def _cmd_verify(args) -> int:
     a = _load_matrix(args.matrix_a)
     b = _load_matrix(args.matrix_b)
     if args.mode == "naive":
+        _square_pair(a, b)
         ab = a @ b
         aba = ab @ a
         residual = verify_identity(a, b, ab=ab, aba=aba)
@@ -126,7 +123,7 @@ def _cmd_verify(args) -> int:
         return 0 if ok else 1
     if args.mode == "fast":
         try:
-            result = structured_aba(a, b, check=_check_default())
+            result = structured_aba(a, b)
         except StructurePreconditionFailed as exc:
             return _emit_precondition_witness(a, exc.witness)
         _emit({"result": matrix_to_obj(result)})
@@ -187,7 +184,7 @@ def _cmd_power(args) -> int:
         _note("error: exponent must be >= 1")
         return 2
     try:
-        result = structured_power(a, args.exponent, check=_check_default())
+        result = structured_power(a, args.exponent)
     except StructurePreconditionFailed as exc:
         return _emit_precondition_witness(a, exc.witness)
     _emit(matrix_to_obj(result))
@@ -300,9 +297,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except StructurePreconditionFailed as exc:
-        _note(f"error: {exc}")
-        return 3
     except _INPUT_ERRORS as exc:
         _note(f"error: {exc}")
         return 2

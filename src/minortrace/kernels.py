@@ -78,9 +78,11 @@ def structured_aba(a: Matrix, b: Matrix, *, check: bool = True) -> Matrix:
     return a.scale(trace_of_product(a, b))
 
 
-def structured_power(a: Matrix, k: int, *, check: bool = True) -> Matrix:
+def structured_power(a: Matrix, k: int) -> Matrix:
     """A**k for structured A, as Tr(A)**(k-1) * A; k >= 1.
 
+    A nonzero minor raises StructurePreconditionFailed: the pivot
+    certificate always runs, since for any other A the formula is wrong.
     The scalar power is square-and-multiply, so the whole thing is
     O(n^2 + log k) ring multiplications.
     """
@@ -88,8 +90,7 @@ def structured_power(a: Matrix, k: int, *, check: bool = True) -> Matrix:
         raise ShapeMismatch(f"square matrix required, got {a.rows}x{a.cols}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"exponent must be an integer >= 1, got {k!r}")
-    if check:
-        _require_structured(a)
+    _require_structured(a)
     if k == 1:
         return a
     ring = a.ring
@@ -124,11 +125,14 @@ class CorollaryResiduals:
         )
 
 
-def check_corollaries(a: Matrix, b: Matrix, *, check: bool = True) -> CorollaryResiduals:
-    """Compute the three corollary residuals directly; zero for structured A."""
+def check_corollaries(a: Matrix, b: Matrix) -> CorollaryResiduals:
+    """Compute the three corollary residuals directly for structured A.
+
+    They are zero by the theorem; a nonzero minor of A raises
+    StructurePreconditionFailed before any product is formed.
+    """
     _square_pair(a, b)
-    if check:
-        _require_structured(a)
+    _require_structured(a)
     ab = a @ b
     t = ab.trace()
     ta = a.trace()

@@ -210,7 +210,7 @@ def test_criterion_6_corollaries_and_converse_caution():
             n = rng.randint(2, 8) if not isinstance(ring, PolynomialRing) else rng.randint(2, 6)
             a = _structured(rng, ring, n)
             b = _random_mat(rng, ring, n, n)
-            if not check_corollaries(a, b, check=False).all_zero():
+            if not check_corollaries(a, b).all_zero():
                 failures += 1
             cases += 1
 

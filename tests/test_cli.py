@@ -93,10 +93,17 @@ def test_verify_fast_requires_structure(files, capsys):
 
 
 def test_verify_fast_env_override(files, capsys, monkeypatch):
+    # skipping the certificate would print Tr(AB) A, a wrong answer, so no
+    # setting of MINORTRACE_CHECK may switch it off
+    calls = [["verify", files["i2"], files["b"], "--fast"], ["power", files["i2"], "3"]]
+    monkeypatch.delenv("MINORTRACE_CHECK", raising=False)
+    unset = [run(capsys, *argv) for argv in calls]
     monkeypatch.setenv("MINORTRACE_CHECK", "0")
-    code, payload, _ = run(capsys, "verify", files["i2"], files["b"], "--fast")
-    assert code == 0
-    assert "result" in payload
+    switched_off = [run(capsys, *argv) for argv in calls]
+    assert switched_off == unset
+    for code, payload, err in switched_off:
+        assert code == 3 and payload["witness"]["minor_rows"] == [1, 2]
+        assert err.startswith("structure precondition failed")
 
 
 def test_verify_fast_structured(files, capsys):
@@ -225,7 +232,6 @@ def test_unknown_subcommand(capsys):
 def fresh_process(argv):
     src = os.path.dirname(os.path.dirname(minortrace.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("MINORTRACE_CHECK", None)
     proc = subprocess.run(
         [sys.executable, "-m", "minortrace", *argv],
         capture_output=True,
@@ -236,8 +242,7 @@ def fresh_process(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_repeated_main_calls_match_fresh_processes(files, capsys, monkeypatch):
-    monkeypatch.delenv("MINORTRACE_CHECK", raising=False)
+def test_repeated_main_calls_match_fresh_processes(files, capsys):
     calls = [
         ["check", files["a"]],
         ["verify", files["a"], files["b"], "--naive"],
@@ -267,6 +272,17 @@ def test_verify_naive_forms_two_products(tmp_path, capsys):
         code, payload, _ = run(capsys, "verify", a, b, "--naive")
     assert code in (0, 1) and "residual" in payload
     assert ops.mul == 2 * n**3 + n * n  # A @ B, (A @ B) @ A, then Tr(AB) * A
+
+
+@pytest.mark.parametrize("mode", ["--naive", "--fast", "--both"])
+def test_verify_rejects_non_square_pair_before_any_product(tmp_path, capsys, mode):
+    # 2x3 @ 3x2 and back are both defined, so only the pair check stops them
+    a = write_matrix(tmp_path / "a.json", [[1, 2, 3], [4, 5, 6]])
+    b = write_matrix(tmp_path / "b.json", [[1, 2], [3, 4], [5, 6]])
+    with count_ops() as ops:
+        code, payload, err = run(capsys, "verify", a, b, mode)
+    assert (code, payload, ops.mul) == (2, None, 0)
+    assert err == "error: two n x n matrices required, got 2x3 and 3x2\n"
 
 
 def test_gen_nilscalar_refuses_huge_modulus(capsys):

@@ -4,7 +4,6 @@ The corpus pins the observable behaviour of every subcommand (bench only
 through its argument errors, since its timings vary) on fixed inputs: nine
 rings, orders 1 to 32, outer-product, random, zero, almost-structured and
 nilpotent-scalar matrices, non-canonical encodings and malformed files.
-Each call runs once with MINORTRACE_CHECK unset and once with it set to 0.
 
 The inputs are built here from seeded pure-Python arithmetic, independent
 of the library; the expected results live in golden_cli.json.  Stdout
@@ -29,7 +28,6 @@ from pathlib import Path
 
 CORPUS_PATH = Path(__file__).with_name("golden_cli.json")
 STDOUT_INLINE = 96
-CHECK_SETTINGS = (None, "0")  # MINORTRACE_CHECK unset, then "0"
 
 BIG_PRIME = 2**61 - 1
 
@@ -313,14 +311,11 @@ def build_calls() -> list[tuple[list[str], str | None]]:
 # Running and recording
 
 
-def run_call(argv: list[str], stdin_text: str | None, check: str | None):
+def run_call(argv: list[str], stdin_text: str | None):
     """(exit code, stdout, stderr) of main(argv) in this process."""
     from minortrace.cli import main
 
-    saved_env = os.environ.pop("MINORTRACE_CHECK", None)
     saved_stdin = sys.stdin
-    if check is not None:
-        os.environ["MINORTRACE_CHECK"] = check
     sys.stdin = io.StringIO(stdin_text or "")
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -328,14 +323,11 @@ def run_call(argv: list[str], stdin_text: str | None, check: str | None):
             code = main(list(argv))
     finally:
         sys.stdin = saved_stdin
-        os.environ.pop("MINORTRACE_CHECK", None)
-        if saved_env is not None:
-            os.environ["MINORTRACE_CHECK"] = saved_env
     return code, out.getvalue(), err.getvalue()
 
 
-def _record(argv, stdin, check, code, stdout, stderr) -> dict:
-    entry = {"argv": argv, "check": check, "code": code, "stderr": stderr}
+def _record(argv, stdin, code, stdout, stderr) -> dict:
+    entry = {"argv": argv, "code": code, "stderr": stderr}
     if stdin is not None:
         entry["stdin"] = stdin
     if len(stdout) > STDOUT_INLINE:
@@ -355,10 +347,9 @@ def run_corpus(directory: Path):
     os.chdir(directory)
     try:
         for argv, stdin in build_calls():
-            for check in CHECK_SETTINGS:
-                stdin_text = inputs[stdin] if stdin is not None else None
-                code, stdout, stderr = run_call(argv, stdin_text, check)
-                yield _record(argv, stdin, check, code, stdout, stderr)
+            stdin_text = inputs[stdin] if stdin is not None else None
+            code, stdout, stderr = run_call(argv, stdin_text)
+            yield _record(argv, stdin, code, stdout, stderr)
     finally:
         os.chdir(cwd)
 
@@ -370,14 +361,13 @@ def _write_corpus(records: list[dict]) -> None:
 
 def test_cli_matches_golden_corpus(tmp_path):
     expected = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
-    assert len(expected) == len(build_calls()) * len(CHECK_SETTINGS) >= 2000
+    assert len(expected) == len(build_calls()) >= 2000
     for index, (want, got) in enumerate(zip(expected, run_corpus(tmp_path))):
         if got != want:
             diff = sorted(k for k in set(want) | set(got) if want.get(k) != got.get(k))
             detail = "; ".join(f"{k}: expected {want.get(k)!r}, got {got.get(k)!r}" for k in diff)
             raise AssertionError(
-                f"call {index} diverged: argv={want['argv']} "
-                f"MINORTRACE_CHECK={want['check']} stdin={want.get('stdin')}: {detail}"
+                f"call {index} diverged: argv={want['argv']} stdin={want.get('stdin')}: {detail}"
             )
 
 

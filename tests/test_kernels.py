@@ -115,7 +115,7 @@ def test_structured_power_agreement(ring):
         expected = a
         for _ in range(k - 1):
             expected = expected @ a
-        assert structured_power(a, k, check=False) == expected
+        assert structured_power(a, k) == expected
 
 
 def test_trace_product_via_outer_examples():
@@ -157,7 +157,7 @@ def test_check_corollaries_random(ring):
         n = rng.randint(2, 6)
         a = rand_structured(rng, ring, n)
         b = random_matrix(rng, ring, n, n)
-        assert check_corollaries(a, b, check=False).all_zero()
+        assert check_corollaries(a, b).all_zero()
 
 
 def test_zero_trace_product_forces_zero_aba():
