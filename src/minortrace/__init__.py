@@ -48,6 +48,7 @@ from .structure import (
     PreconditionViolated,
     StructureVerdict,
     check_vanishing_minors,
+    decompose,
     decompose_2x2_gcd,
     decompose_rank1_field,
     find_nilpotent_scalar,

@@ -26,7 +26,7 @@ from .kernels import (
 from .matrices import Matrix, MatrixError
 from .oracle import TooLargeToEnumerate, exhaustive_characterization, verify_identity
 from .probe import ProbeReport, probe_converse, probe_witness
-from .rings import IntegerRing, PrimeFieldRing, RingError
+from .rings import RingError
 from .serialize import (
     SerializeError,
     bench_result_to_obj,
@@ -43,10 +43,8 @@ from .serialize import (
 from .structure import (
     MinorWitness,
     NoNilpotentScalar,
-    PreconditionViolated,
     check_vanishing_minors,
-    decompose_2x2_gcd,
-    decompose_rank1_field,
+    decompose,
     gen_structured,
 )
 
@@ -54,7 +52,6 @@ _INPUT_ERRORS = (
     SerializeError,
     RingError,
     MatrixError,
-    PreconditionViolated,
     NoNilpotentScalar,
     TooLargeToEnumerate,
     OSError,
@@ -160,16 +157,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_decompose(args) -> int:
     a = _load_matrix(args.matrix)
-    if isinstance(a.ring, PrimeFieldRing):
-        factors = decompose_rank1_field(a)
-    elif isinstance(a.ring, IntegerRing):
-        if a.rows != 2 or a.cols != 2:
-            _note("error: integer decomposition is defined for 2x2 matrices only")
-            return 2
-        factors = decompose_2x2_gcd(a)
-    else:
-        _note(f"error: no decomposition over {a.ring}")
-        return 2
+    factors = decompose(a)
     _emit(factors_to_obj(factors))
     if factors is None:
         _note("not decomposable: a 2x2 minor is nonzero")
@@ -252,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", nargs="?", default="-")
     p.set_defaults(func=_cmd_probe)
 
-    p = sub.add_parser("decompose", help="column-row factors (prime field, or integer 2x2)")
+    p = sub.add_parser("decompose", help="column-row factors over Z or GF(p)")
     p.add_argument("matrix", nargs="?", default="-")
     p.set_defaults(func=_cmd_decompose)
 

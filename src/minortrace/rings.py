@@ -86,6 +86,7 @@ def _bump(mul: int, add: int) -> None:
 # Primality (Miller-Rabin on the prime bases 2..41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # is_prime is exact below this
 
 
 def is_prime(n: int) -> bool:
@@ -356,13 +357,15 @@ class ModularRing(_ResidueRing):
 
 @dataclass(frozen=True)
 class PrimeFieldRing(_ResidueRing):
-    """The prime field GF(p)."""
+    """The prime field GF(p), p below psi_13, where is_prime is exact."""
 
     p: int
 
     def __post_init__(self):
         if not isinstance(self.p, int) or not is_prime(self.p):
             raise ValueError(f"prime field order must be prime, got {self.p!r}")
+        if self.p >= _PSI_13:
+            raise ValueError(f"primality is proven only below {_PSI_13}, got {self.p}")
         object.__setattr__(self, "_m", self.p)
 
     def __str__(self):

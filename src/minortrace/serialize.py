@@ -11,12 +11,15 @@ Ring encodings:
 
 Elements of the integer-like rings are decimal strings; polynomial elements
 are arrays of base-ring elements, lowest degree first.  A matrix is
-{"ring": <ring>, "rows": [[<elem>, ...], ...]}.
+{"ring": <ring>, "rows": [[<elem>, ...], ...]}.  Input integers, in ring
+specs too, are JSON integers or plain decimal strings: ASCII digits after
+an optional minus, with no plus, space or underscore.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 from .bench import BenchResult
 from .matrices import Matrix
@@ -65,13 +68,19 @@ def ring_to_obj(ring: Ring) -> dict:
 
 
 def _parse_int(value, what: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    """A JSON integer, or a string of ASCII digits after an optional minus."""
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            pass
+        # an ASCII digit is one of 0-9
+        if value.isascii() and (value.isdigit() or value[:1] == "-" and value[1:].isdigit()):
+            try:
+                return int(value)
+            except ValueError:  # longer than int() converts
+                raise SerializeError(
+                    f"{what}: {len(value.lstrip('-'))} digits, above the limit of "
+                    f"{sys.get_int_max_str_digits()} for a decimal integer"
+                ) from None
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
     raise SerializeError(f"{what}: expected a decimal integer, got {value!r}")
 
 

@@ -3,8 +3,8 @@
 A square matrix whose 2x2 minors all vanish is exactly the kind the trace
 kernels accelerate.  This module decides membership (with a witness when the
 answer is no), builds members as column-row outer products, recovers the
-factors where the ring permits it, and generates random members for tests
-and benchmarks.
+factors over Z and GF(p) (the domains where vanishing minors imply them),
+and generates random members for tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .rings import (
     UnsupportedRing,
     _ResidueRing,
     _bump,
-    divexact,
-    elem_gcd,
 )
 
 
@@ -234,64 +232,60 @@ def outer(col: Matrix, row: Matrix) -> Matrix:
     return OuterFactors(col, row).product()
 
 
-def decompose_rank1_field(a: Matrix) -> OuterFactors | None:
-    """Column-row factors of a square matrix over a prime field.
+def decompose(a: Matrix) -> OuterFactors | None:
+    """Column-row factors col @ row of a square matrix over Z or GF(p).
 
-    Returns zero factors for the zero matrix, factors built from the first
-    nonzero column when all 2x2 minors vanish, and None when some minor is
-    nonzero (rank >= 2, no such factorization exists).
+    None when some 2x2 minor is nonzero.  Otherwise the pivot a[p][q] is
+    the first nonzero entry, as in the certificate: row = row p / d and
+    col_i = a[i][q] / row[q], with d the pivot over GF(p) and the content
+    of row p over Z.  The Z row is then primitive, and Gauss's lemma makes
+    the column division exact.  The zero matrix gets zero factors.
+
+    Over Z/m with m composite, vanishing minors do not give factors:
+    diag(2, 2) over Z/4 has the single minor 4 = 0, yet no c r equals it.
+    So every other ring raises UnsupportedRing.
     """
     ring = a.ring
-    if not isinstance(ring, PrimeFieldRing):
-        raise UnsupportedRing(f"prime field required, got {ring}")
+    if not isinstance(ring, (IntegerRing, PrimeFieldRing)):
+        raise UnsupportedRing(f"no decomposition over {ring}")
     if not a.is_square:
         raise NotSquare(f"square matrix required, got {a.rows}x{a.cols}")
     if not check_vanishing_minors(a).structured:
         return None
-    n = a.rows
-    if a.is_zero():
-        return OuterFactors(Matrix.zero(ring, n, 1), Matrix.zero(ring, 1, n))
-    q = next(j for j in range(n) if any(a.data[i][j] != 0 for i in range(n)))
-    p = next(i for i in range(n) if a.data[i][q] != 0)
-    col = a.col(q)
-    pivot = a.entry(p, q)
-    row_vals = [divexact(a.entry(p, j), pivot) for j in range(n)]
-    return OuterFactors(col, Matrix.from_rows(ring, [row_vals]))
+    d = a.data
+    pivot = next(((p, q) for p, r in enumerate(d) for q, x in enumerate(r) if x), None)
+    if pivot is None:
+        return OuterFactors(Matrix.zero(ring, a.rows, 1), Matrix.zero(ring, 1, a.rows))
+    p, q = pivot
+    rp = d[p]
+    if isinstance(ring, IntegerRing):
+        g = gcd(*rp)
+        row = [x // g for x in rp]
+        col = [r[q] // row[q] for r in d]
+    else:  # row[q] = 1, so the column is column q
+        inv = pow(rp[q], -1, ring.p)
+        row = [x * inv % ring.p for x in rp]
+        col = [r[q] for r in d]
+    return OuterFactors(Matrix(ring, tuple((c,) for c in col)), Matrix(ring, (tuple(row),)))
+
+
+def decompose_rank1_field(a: Matrix) -> OuterFactors | None:
+    """decompose, restricted to a square matrix over a prime field."""
+    if not isinstance(a.ring, PrimeFieldRing):
+        raise UnsupportedRing(f"prime field required, got {a.ring}")
+    return decompose(a)
 
 
 def decompose_2x2_gcd(a: Matrix) -> OuterFactors:
-    """Column-row factors of a singular 2x2 integer matrix.
-
-    Picks the first nonzero row, divides out its gcd to get a primitive row,
-    and recovers the column by exact division; the zero determinant makes
-    the divisions exact over the integers.
-    """
-    ring = a.ring
-    if not isinstance(ring, IntegerRing):
-        raise UnsupportedRing(f"integer ring required, got {ring}")
+    """decompose, restricted to a singular 2x2 integer matrix."""
+    if not isinstance(a.ring, IntegerRing):
+        raise UnsupportedRing(f"integer ring required, got {a.ring}")
     if a.rows != 2 or a.cols != 2:
         raise ShapeMismatch(f"2x2 matrix required, got {a.rows}x{a.cols}")
-    d = a.data
-    det = d[0][0] * d[1][1] - d[0][1] * d[1][0]
-    if det != 0:
-        raise PreconditionViolated(f"determinant must be zero, got {det}")
-    if a.is_zero():
-        return OuterFactors(Matrix.zero(ring, 2, 1), Matrix.zero(ring, 1, 2))
-    p = 0 if any(x != 0 for x in d[0]) else 1
-    other = 1 - p
-    g = elem_gcd(a.entry(p, 0), a.entry(p, 1))
-    prim = [divexact(a.entry(p, j), g) for j in range(2)]
-    k = 0 if prim[0].value != 0 else 1
-    t = divexact(a.entry(other, k), prim[k])
-    if (t * prim[1 - k]).value != d[other][1 - k]:
-        raise PreconditionViolated("row is not an exact multiple of the primitive row")
-    col_vals = [None, None]
-    col_vals[p] = g
-    col_vals[other] = t
-    return OuterFactors(
-        Matrix.from_rows(ring, [[col_vals[0]], [col_vals[1]]]),
-        Matrix.from_rows(ring, [prim]),
-    )
+    (w, x), (y, z) = a.data
+    if w * z - x * y:
+        raise PreconditionViolated(f"determinant must be zero, got {w * z - x * y}")
+    return decompose(a)
 
 
 # ---------------------------------------------------------------------------

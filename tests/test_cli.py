@@ -162,8 +162,17 @@ def test_decompose_field_full_rank_absent(tmp_path, capsys):
 
 
 def test_decompose_rejects_nonsingular_integer(files, capsys):
-    code, _, err = run(capsys, "decompose", files["i2"])
-    assert code == 2 and "error" in err
+    code, payload, err = run(capsys, "decompose", files["i2"])
+    assert code == 1 and payload == {"factors": None} and "not decomposable" in err
+
+
+def test_structured_over_z4_without_factors(tmp_path, capsys):
+    # all minors of diag(2, 2) vanish mod 4, but it is no column-row product
+    path = write_matrix(tmp_path / "m.json", [[2, 0], [0, 2]], ModularRing(4))
+    code, payload, _ = run(capsys, "check", path)
+    assert code == 0 and payload == {"structured": True}
+    code, payload, err = run(capsys, "decompose", path)
+    assert (code, payload, err) == (2, None, "error: no decomposition over Z/4\n")
 
 
 def test_decompose_rejects_unsupported_ring(tmp_path, capsys):
@@ -329,3 +338,39 @@ def test_exhaust_budget_check_builds_no_huge_integer(capsys):
     assert (code, payload) == (2, None)
     assert err == "error: 3^16000000 matrices exceed the 1000000 budget\n"
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "spelling", ["1_0", " 7", "7\n", "+5", "\u0667", "\uff17", "", "-", "--5", "0x1"]
+)
+def test_entries_must_be_plain_decimal(tmp_path, capsys, spelling):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"ring": {"kind": "int"}, "rows": [[spelling, "1"], ["2", "3"]]}))
+    code, payload, err = run(capsys, "check", str(path))
+    assert code == 2 and payload is None
+    assert err == f"error: element: expected a decimal integer, got {spelling!r}\n"
+
+
+@pytest.mark.parametrize("spec", ["mod: 1_2", "mod:1_2", "mod:+12", "mod:12 ", "gf:\u0665"])
+def test_ring_specs_must_be_plain_decimal(capsys, spec):
+    code, payload, err = run(capsys, "gen", "--ring", spec, "--n", "2")
+    assert code == 2 and payload is None and "expected a decimal integer" in err
+
+
+def test_over_long_entry_has_its_own_message(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"ring": {"kind": "int"}, "rows": [["-" + "9" * 5000]]}))
+    code, payload, err = run(capsys, "check", str(path))
+    assert code == 2 and payload is None
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: element: 5000 digits, above the limit of {limit} for a decimal integer\n"
+
+
+def test_prime_field_order_stops_below_psi_13(capsys):
+    # psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to bases 2..41
+    psi_13 = 3317044064679887385961981
+    assert psi_13 == 1287836182261 * 2575672364521
+    code, payload, err = run(capsys, "gen", "--ring", f"gf:{psi_13}", "--n", "2")
+    assert code == 2 and payload is None and f"only below {psi_13}" in err
+    code, payload, _ = run(capsys, "gen", "--ring", f"gf:{2**61 - 1}", "--n", "2")
+    assert code == 0 and payload["ring"] == {"kind": "gf", "p": str(2**61 - 1)}

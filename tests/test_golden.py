@@ -376,5 +376,10 @@ if __name__ == "__main__":
         raise SystemExit(f"usage: PYTHONPATH=src python3 {sys.argv[0]} --regenerate")
     with tempfile.TemporaryDirectory() as tmp:
         records = list(run_corpus(Path(tmp)))
+    old = json.loads(CORPUS_PATH.read_text(encoding="utf-8")) if CORPUS_PATH.exists() else []
+    changed = [r for i, r in enumerate(records) if i >= len(old) or old[i] != r]
+    print(f"{len(changed)} of {len(records)} records differ from the committed file")
+    for r in changed:
+        print("  " + " ".join(r["argv"]) + (f" < {r['stdin']}" if "stdin" in r else ""))
     _write_corpus(records)
     print(f"wrote {len(records)} calls to {CORPUS_PATH}")

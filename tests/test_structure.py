@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -21,6 +22,7 @@ from minortrace import (
     UnsupportedRing,
     check_vanishing_minors,
     count_ops,
+    decompose,
     decompose_2x2_gcd,
     decompose_rank1_field,
     find_nilpotent_scalar,
@@ -179,6 +181,46 @@ def test_decompose_2x2_gcd_round_trip_bulk():
         a = outer(c, r)
         f = decompose_2x2_gcd(a)
         assert f.product() == a
+
+
+GF65537 = PrimeFieldRing(65537)
+
+
+@st.composite
+def decomposition_cases(draw, ring):
+    """Outer products, perturbed and random matrices with zero rows and columns."""
+    n = draw(st.integers(1, 12))
+    if ring == INT:
+        entry = st.integers(-(2**100), 2**100)
+    else:
+        entry = st.integers(0, ring.p - 1)
+    sparse = st.one_of(st.just(0), st.just(0), entry)
+
+    def vector(length):
+        return [draw(sparse) for _ in range(length)]
+
+    kind = draw(st.sampled_from(["outer", "perturbed", "random"]))
+    if kind == "random":
+        return Matrix.from_rows(ring, [vector(n) for _ in range(n)])
+    col, row = vector(n), vector(n)
+    rows = [[c * r for r in row] for c in col]
+    if kind == "perturbed":
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += draw(entry)
+    return Matrix.from_rows(ring, rows)
+
+
+@pytest.mark.parametrize("ring", [INT, GF5, GF65537], ids=["int", "gf5", "gf65537"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_decompose_round_trips_exactly_when_minors_vanish(ring, data):
+    a = data.draw(decomposition_cases(ring))
+    f = decompose(a)
+    has_nonzero_minor = any(not v.is_zero() for _, v in all_minors_naive(a))
+    assert (f is None) == has_nonzero_minor
+    if f is not None:
+        assert f.product() == a
+        if ring == INT and not a.is_zero():
+            assert math.gcd(*f.row.data[0]) == 1
 
 
 def test_outer_factors_validation():
