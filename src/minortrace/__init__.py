@@ -9,10 +9,8 @@ enumeration over small finite rings).
 """
 
 from .rings import (
-    DivisionByZero,
     IntegerRing,
     ModularRing,
-    NotDivisible,
     OpCounts,
     PolynomialRing,
     PrimeFieldRing,
@@ -22,8 +20,6 @@ from .rings import (
     RingMismatch,
     UnsupportedRing,
     count_ops,
-    divexact,
-    elem_gcd,
     is_prime,
 )
 from .matrices import (
@@ -45,12 +41,9 @@ from .structure import (
     MinorWitness,
     NoNilpotentScalar,
     OuterFactors,
-    PreconditionViolated,
     StructureVerdict,
     check_vanishing_minors,
     decompose,
-    decompose_2x2_gcd,
-    decompose_rank1_field,
     find_nilpotent_scalar,
     gen_structured,
     outer,

@@ -120,18 +120,12 @@ MISMATCH_CAP = 10
 SPOT_CHECK_EVERY = 100  # probe decisions re-checked by the full-B loop
 
 
-def exhaustive_characterization(
-    ring: Ring,
-    n: int,
-    *,
-    use_probes: bool = True,
-) -> EquivalenceReport:
+def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
     """Enumerate every A over a small finite ring and cross-classify it.
 
-    With use_probes (the default) the for-every-B side runs on the n^2 unit
-    probes, and every SPOT_CHECK_EVERY-th matrix (the first included) also
-    runs the full-B enumeration, which must agree; with use_probes=False
-    every A gets the full-B loop.
+    The for-every-B side runs on the n^2 unit probes, and every
+    SPOT_CHECK_EVERY-th matrix (the first included) also runs the full-B
+    enumeration, which must agree.
     """
     if n < 2:
         raise TooSmall("exhaustive characterization needs n >= 2")
@@ -141,15 +135,12 @@ def exhaustive_characterization(
     mismatches: list[Matrix] = []
     for index, a in enumerate(iter_all_matrices(ring, n)):
         structured = _scan_minors(a).structured
-        if use_probes:
-            holds = universal_identity_via_probes(a)
-            if index % SPOT_CHECK_EVERY == 0:
-                if holds != universal_identity_by_enumeration(a):
-                    raise RuntimeError(
-                        f"probe decision disagrees with full enumeration at {a!r}"
-                    )
-        else:
-            holds = universal_identity_by_enumeration(a)
+        holds = universal_identity_via_probes(a)
+        if index % SPOT_CHECK_EVERY == 0:
+            if holds != universal_identity_by_enumeration(a):
+                raise RuntimeError(
+                    f"probe decision disagrees with full enumeration at {a!r}"
+                )
         total += 1
         ident_count += holds
         minors_count += structured

@@ -17,7 +17,6 @@ single C-level sum of big-integer products.
 
 from __future__ import annotations
 
-import math
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -31,14 +30,6 @@ class RingError(Exception):
 
 class RingMismatch(RingError):
     """Operands belong to different rings."""
-
-
-class NotDivisible(RingError):
-    """Exact division requested but the remainder is nonzero."""
-
-
-class DivisionByZero(RingError):
-    """Division by the ring's zero."""
 
 
 class UnsupportedRing(RingError):
@@ -502,34 +493,3 @@ class RingElem:
     def __repr__(self):
         return f"{self.value!r}:{self.ring}"
 
-
-def divexact(a: RingElem, b: RingElem) -> RingElem:
-    """Exact quotient a/b where division is known to be exact.
-
-    Defined over the integers (remainder must vanish) and prime fields
-    (any nonzero divisor).
-    """
-    if a.ring != b.ring:
-        raise RingMismatch(f"{a.ring} vs {b.ring}")
-    ring = a.ring
-    if isinstance(ring, IntegerRing):
-        if b.value == 0:
-            raise DivisionByZero("division by zero")
-        q, r = divmod(a.value, b.value)
-        if r != 0:
-            raise NotDivisible(f"{a.value} is not divisible by {b.value}")
-        return RingElem(ring, q)
-    if isinstance(ring, PrimeFieldRing):
-        if b.value == 0:
-            raise DivisionByZero("division by zero")
-        return RingElem(ring, a.value * pow(b.value, -1, ring.p) % ring.p)
-    raise UnsupportedRing(f"exact division not defined over {ring}")
-
-
-def elem_gcd(a: RingElem, b: RingElem) -> RingElem:
-    """Nonnegative gcd over the integers; gcd(0, 0) = 0."""
-    if a.ring != b.ring:
-        raise RingMismatch(f"{a.ring} vs {b.ring}")
-    if not isinstance(a.ring, IntegerRing):
-        raise UnsupportedRing(f"gcd not defined over {a.ring}")
-    return RingElem(a.ring, math.gcd(a.value, b.value))

@@ -2,6 +2,8 @@
 
 Emission is byte-canonical (sorted keys, no whitespace), and integers ride
 as decimal strings so arbitrary precision survives any JSON implementation.
+Integers in and out are capped at Python's int/str digit limit (4300 by
+default); a longer one is a SerializeError that gives its digit count.
 Ring encodings:
 
     {"kind":"int"}
@@ -19,6 +21,7 @@ an optional minus, with no plus, space or underscore.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 from .bench import BenchResult
@@ -45,9 +48,19 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _over_limit(what: str, digits: int) -> SerializeError:
+    return SerializeError(
+        f"{what}: {digits} digits, above the limit of "
+        f"{sys.get_int_max_str_digits()} for a decimal integer"
+    )
+
+
+_DECODER = json.JSONDecoder(parse_int=lambda text: _parse_int(text, "JSON number"))
+
+
 def loads(text: str):
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise SerializeError(f"invalid JSON: {exc}") from exc
 
@@ -75,10 +88,7 @@ def _parse_int(value, what: str) -> int:
             try:
                 return int(value)
             except ValueError:  # longer than int() converts
-                raise SerializeError(
-                    f"{what}: {len(value.lstrip('-'))} digits, above the limit of "
-                    f"{sys.get_int_max_str_digits()} for a decimal integer"
-                ) from None
+                raise _over_limit(what, len(value.lstrip("-"))) from None
     elif isinstance(value, int) and not isinstance(value, bool):
         return value
     raise SerializeError(f"{what}: expected a decimal integer, got {value!r}")
@@ -130,7 +140,12 @@ def parse_ring_spec(spec: str) -> Ring:
 def elem_to_obj(ring: Ring, value):
     if isinstance(ring, PolynomialRing):
         return [elem_to_obj(ring.base, c) for c in value]
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # longer than str() converts
+        n = abs(value)
+        e = int(math.log10(n))  # floor(log10 n) give or take 1; the comparisons settle it
+        raise _over_limit("output integer", e + (n >= 10**e) + (n >= 10 ** (e + 1))) from None
 
 
 def elem_from_obj(ring: Ring, obj):

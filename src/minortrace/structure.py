@@ -29,10 +29,6 @@ from .rings import (
 )
 
 
-class PreconditionViolated(Exception):
-    """An operation's stated input contract does not hold."""
-
-
 class NoNilpotentScalar(Exception):
     """The ring has no nonzero scalar s with s*s = 0."""
 
@@ -235,11 +231,12 @@ def outer(col: Matrix, row: Matrix) -> Matrix:
 def decompose(a: Matrix) -> OuterFactors | None:
     """Column-row factors col @ row of a square matrix over Z or GF(p).
 
-    None when some 2x2 minor is nonzero.  Otherwise the pivot a[p][q] is
-    the first nonzero entry, as in the certificate: row = row p / d and
-    col_i = a[i][q] / row[q], with d the pivot over GF(p) and the content
-    of row p over Z.  The Z row is then primitive, and Gauss's lemma makes
-    the column division exact.  The zero matrix gets zero factors.
+    The pivot a[p][q] is the first nonzero entry.  It is not a zero divisor
+    here, so the certificate's sweep on it decides in O(n^2): None when
+    some 2x2 minor is nonzero.  Otherwise row = row p / d and col_i =
+    a[i][q] / row[q], with d the pivot over GF(p) and the content of row p
+    over Z.  The Z row is then primitive, and Gauss's lemma makes the
+    column division exact.  The zero matrix gets zero factors.
 
     Over Z/m with m composite, vanishing minors do not give factors:
     diag(2, 2) over Z/4 has the single minor 4 = 0, yet no c r equals it.
@@ -250,42 +247,24 @@ def decompose(a: Matrix) -> OuterFactors | None:
         raise UnsupportedRing(f"no decomposition over {ring}")
     if not a.is_square:
         raise NotSquare(f"square matrix required, got {a.rows}x{a.cols}")
-    if not check_vanishing_minors(a).structured:
-        return None
     d = a.data
     pivot = next(((p, q) for p, r in enumerate(d) for q, x in enumerate(r) if x), None)
     if pivot is None:
         return OuterFactors(Matrix.zero(ring, a.rows, 1), Matrix.zero(ring, 1, a.rows))
     p, q = pivot
+    m = None if isinstance(ring, IntegerRing) else ring.p
+    if not _pivot_sweep(d, p, q, m):
+        return None
     rp = d[p]
-    if isinstance(ring, IntegerRing):
+    if m is None:
         g = gcd(*rp)
         row = [x // g for x in rp]
         col = [r[q] // row[q] for r in d]
     else:  # row[q] = 1, so the column is column q
-        inv = pow(rp[q], -1, ring.p)
-        row = [x * inv % ring.p for x in rp]
+        inv = pow(rp[q], -1, m)
+        row = [x * inv % m for x in rp]
         col = [r[q] for r in d]
     return OuterFactors(Matrix(ring, tuple((c,) for c in col)), Matrix(ring, (tuple(row),)))
-
-
-def decompose_rank1_field(a: Matrix) -> OuterFactors | None:
-    """decompose, restricted to a square matrix over a prime field."""
-    if not isinstance(a.ring, PrimeFieldRing):
-        raise UnsupportedRing(f"prime field required, got {a.ring}")
-    return decompose(a)
-
-
-def decompose_2x2_gcd(a: Matrix) -> OuterFactors:
-    """decompose, restricted to a singular 2x2 integer matrix."""
-    if not isinstance(a.ring, IntegerRing):
-        raise UnsupportedRing(f"integer ring required, got {a.ring}")
-    if a.rows != 2 or a.cols != 2:
-        raise ShapeMismatch(f"2x2 matrix required, got {a.rows}x{a.cols}")
-    (w, x), (y, z) = a.data
-    if w * z - x * y:
-        raise PreconditionViolated(f"determinant must be zero, got {w * z - x * y}")
-    return decompose(a)
 
 
 # ---------------------------------------------------------------------------

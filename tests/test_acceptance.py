@@ -20,8 +20,7 @@ from minortrace import (
     check_corollaries,
     check_vanishing_minors,
     count_ops,
-    decompose_2x2_gcd,
-    decompose_rank1_field,
+    decompose,
     det_small,
     exhaustive_characterization,
     gen_structured,
@@ -252,7 +251,7 @@ def test_criterion_7_decomposition_round_trips():
         r = random_matrix(rng, INT, 1, 2, bound=20)
         singular.append(outer(c, r))
     gcd_failures = sum(
-        1 for a in singular if decompose_2x2_gcd(a).product() != a
+        1 for a in singular if decompose(a).product() != a
     )
 
     field_failures = 0
@@ -262,7 +261,7 @@ def test_criterion_7_decomposition_round_trips():
         for _ in range(250):
             n = rng.randint(1, 6)
             a = gen_structured(rng.getrandbits(32), ring, n, "outer")
-            f = decompose_rank1_field(a)
+            f = decompose(a)
             if f is None or f.product() != a:
                 field_failures += 1
             field_cases += 1

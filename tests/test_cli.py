@@ -358,12 +358,44 @@ def test_ring_specs_must_be_plain_decimal(capsys, spec):
 
 
 def test_over_long_entry_has_its_own_message(tmp_path, capsys):
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps({"ring": {"kind": "int"}, "rows": [["-" + "9" * 5000]]}))
-    code, payload, err = run(capsys, "check", str(path))
+    limit = sys.get_int_max_str_digits()
+    digits = "-" + "9" * 5000
+    # the same entry as a decimal string and as a JSON number
+    for entry, what in ((json.dumps(digits), "element"), (digits, "JSON number")):
+        path = tmp_path / "m.json"
+        path.write_text('{"ring": {"kind": "int"}, "rows": [[' + entry + "]]}")
+        code, payload, err = run(capsys, "check", str(path))
+        assert code == 2 and payload is None
+        message = f"{what}: 5000 digits, above the limit of {limit} for a decimal integer"
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "number"),
+        ("power", "three", "10000"),
+        ("check", "big"),
+        ("probe", "big"),
+        ("verify", "big", "big", "--fast"),
+        ("power", "big", "2"),
+    ],
+    ids=["json-number", "power-3^10000", "check", "probe", "verify-fast", "power"],
+)
+def test_integers_past_the_digit_limit_exit_2_in_and_out(tmp_path, capsys, argv):
+    # big is valid input (4300-digit entries) whose 2x2 minor has 8598 digits
+    number = tmp_path / "number.json"
+    number.write_text('{"ring": {"kind": "int"}, "rows": [[' + "9" * 5000 + "]]}")
+    paths = {
+        "big": write_matrix(tmp_path / "big.json", [[10**4299, 1], [1, 10**4299]]),
+        "three": write_matrix(tmp_path / "three.json", [[3]]),
+        "number": str(number),
+    }
+    code, payload, err = run(capsys, *(paths.get(x, x) for x in argv))
     assert code == 2 and payload is None
     limit = sys.get_int_max_str_digits()
-    assert err == f"error: element: 5000 digits, above the limit of {limit} for a decimal integer\n"
+    assert f"digits, above the limit of {limit} for a decimal integer" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_prime_field_order_stops_below_psi_13(capsys):

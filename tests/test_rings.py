@@ -5,17 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minortrace import (
-    DivisionByZero,
     IntegerRing,
     ModularRing,
-    NotDivisible,
     PolynomialRing,
     PrimeFieldRing,
     RingMismatch,
-    UnsupportedRing,
     count_ops,
-    divexact,
-    elem_gcd,
     is_prime,
 )
 from support import GF5, INT, MOD4, POLY_INT, raw_values
@@ -43,41 +38,9 @@ def test_neg_examples():
     assert (-mod7.elem(0)).value == 0
 
 
-def test_divexact_integers():
-    assert divexact(INT.elem(9), INT.elem(3)).value == 3
-    with pytest.raises(NotDivisible):
-        divexact(INT.elem(10), INT.elem(4))
-    with pytest.raises(DivisionByZero):
-        divexact(INT.elem(1), INT.elem(0))
-
-
-def test_divexact_prime_field_matches_exhaustive_inverse_search():
-    # oracle: the unique x in [0, 5) with 2*x = 3 (mod 5)
-    expected = next(x for x in range(5) if 2 * x % 5 == 3)
-    assert expected == 4
-    assert divexact(GF5.elem(3), GF5.elem(2)).value == expected
-    with pytest.raises(DivisionByZero):
-        divexact(GF5.elem(3), GF5.elem(0))
-
-
-def test_divexact_unsupported_ring():
-    with pytest.raises(UnsupportedRing):
-        divexact(MOD4.elem(2), MOD4.elem(2))
-
-
-def test_gcd_examples():
-    assert elem_gcd(INT.elem(6), INT.elem(10)).value == 2
-    assert elem_gcd(INT.elem(0), INT.elem(0)).value == 0
-    assert elem_gcd(INT.elem(-9), INT.elem(15)).value == 3
-    with pytest.raises(UnsupportedRing):
-        elem_gcd(MOD4.elem(2), MOD4.elem(2))
-
-
 def test_ring_mismatch():
     with pytest.raises(RingMismatch):
         INT.elem(1) + MOD4.elem(1)
-    with pytest.raises(RingMismatch):
-        divexact(INT.elem(4), GF5.elem(2))
 
 
 def test_descriptor_validation():

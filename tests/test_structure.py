@@ -15,16 +15,12 @@ from minortrace import (
     NotSquare,
     OuterFactors,
     PolynomialRing,
-    PreconditionViolated,
     PrimeFieldRing,
     ShapeMismatch,
     StructureVerdict,
-    UnsupportedRing,
     check_vanishing_minors,
     count_ops,
     decompose,
-    decompose_2x2_gcd,
-    decompose_rank1_field,
     find_nilpotent_scalar,
     gen_structured,
     outer,
@@ -119,20 +115,18 @@ def test_outer_products_are_structured_bulk(ring):
 
 def test_decompose_rank1_field_round_trip_example():
     a = Matrix.from_rows(GF5, [[3, 4], [1, 3]])  # minor 3*3 - 4*1 = 5 = 0
-    f = decompose_rank1_field(a)
+    f = decompose(a)
     assert f is not None
     assert f.product() == a
 
 
 def test_decompose_rank1_field_edges():
-    assert decompose_rank1_field(Matrix.identity(PrimeFieldRing(3), 2)) is None
+    assert decompose(Matrix.identity(PrimeFieldRing(3), 2)) is None
     z = Matrix.zero(GF5, 3, 3)
-    f = decompose_rank1_field(z)
+    f = decompose(z)
     assert f.col.is_zero() and f.row.is_zero() and f.product() == z
-    with pytest.raises(UnsupportedRing):
-        decompose_rank1_field(mat([[1]]))
     with pytest.raises(NotSquare):
-        decompose_rank1_field(Matrix.from_rows(GF5, [[1, 2]]))
+        decompose(Matrix.from_rows(GF5, [[1, 2]]))
 
 
 def test_decompose_rank1_field_succeeds_iff_structured():
@@ -143,7 +137,7 @@ def test_decompose_rank1_field_succeeds_iff_structured():
             a = outer(random_matrix(rng, GF5, n, 1), random_matrix(rng, GF5, 1, n))
         else:
             a = random_matrix(rng, GF5, n, n)
-        f = decompose_rank1_field(a)
+        f = decompose(a)
         if check_vanishing_minors(a).structured:
             assert f is not None and f.product() == a
         else:
@@ -151,26 +145,17 @@ def test_decompose_rank1_field_succeeds_iff_structured():
 
 
 def test_decompose_2x2_gcd_examples():
-    f = decompose_2x2_gcd(mat([[6, 10], [9, 15]]))
+    f = decompose(mat([[6, 10], [9, 15]]))
     assert f.col == mat([[2], [3]])
     assert f.row == mat([[3, 5]])
     assert f.product() == mat([[6, 10], [9, 15]])
 
-    f = decompose_2x2_gcd(mat([[0, 0], [3, 5]]))
+    f = decompose(mat([[0, 0], [3, 5]]))
     assert f.col == mat([[0], [1]])
     assert f.row == mat([[3, 5]])
 
-    f = decompose_2x2_gcd(Matrix.zero(INT, 2, 2))
+    f = decompose(Matrix.zero(INT, 2, 2))
     assert f.col.is_zero() and f.row.is_zero()
-
-
-def test_decompose_2x2_gcd_errors():
-    with pytest.raises(PreconditionViolated):
-        decompose_2x2_gcd(Matrix.identity(INT, 2))
-    with pytest.raises(UnsupportedRing):
-        decompose_2x2_gcd(Matrix.from_rows(GF5, [[0, 0], [0, 0]]))
-    with pytest.raises(ShapeMismatch):
-        decompose_2x2_gcd(Matrix.identity(INT, 3))
 
 
 def test_decompose_2x2_gcd_round_trip_bulk():
@@ -179,7 +164,7 @@ def test_decompose_2x2_gcd_round_trip_bulk():
         c = random_matrix(rng, INT, 2, 1, bound=30)
         r = random_matrix(rng, INT, 1, 2, bound=30)
         a = outer(c, r)
-        f = decompose_2x2_gcd(a)
+        f = decompose(a)
         assert f.product() == a
 
 
@@ -221,6 +206,17 @@ def test_decompose_round_trips_exactly_when_minors_vanish(ring, data):
         assert f.product() == a
         if ring == INT and not a.is_zero():
             assert math.gcd(*f.row.data[0]) == 1
+
+
+@pytest.mark.parametrize("ring", [INT, GF65537], ids=["int", "gf65537"])
+def test_decompose_refuses_a_late_minor_in_quadratic_time(ring):
+    # zero but for a 2x2 identity in the bottom-right corner: the one nonzero
+    # minor is the last in scan order, about n^4 / 4 products away
+    n = 64
+    a = mat([[int(i == j >= n - 2) for j in range(n)] for i in range(n)], ring)
+    with count_ops() as counts:
+        assert decompose(a) is None
+    assert counts.mul <= 2 * n * n + 10 * n
 
 
 def test_outer_factors_validation():
