@@ -37,6 +37,7 @@ from .serialize import (
     matrix_from_obj,
     matrix_to_obj,
     parse_ring_spec,
+    power_over_limit,
     probe_report_to_obj,
     verdict_to_obj,
 )
@@ -172,6 +173,10 @@ def _cmd_power(args) -> int:
         _note("error: exponent must be >= 1")
         return 2
     try:
+        refusal = power_over_limit(a, args.exponent)
+        if refusal is not None:
+            structured_power(a, 1)  # certifies A, so an unstructured A still exits 3
+            raise refusal
         result = structured_power(a, args.exponent)
     except StructurePreconditionFailed as exc:
         return _emit_precondition_witness(a, exc.witness)

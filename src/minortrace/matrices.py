@@ -5,11 +5,14 @@ everything is immutable and every operation returns a fresh matrix.
 Indices are 0-based throughout the library; the CLI renders them 1-based.
 The product ``@`` is the ring's ``matmul``: a packed big-integer product
 over Z, Z/m and GF(p), one dot product per entry over polynomial rings.
+``from_rows`` and ``scale`` work a row at a time, through the ring's
+``canon_row`` and ``scale_row``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .rings import Ring, RingElem, RingMismatch
 
@@ -54,6 +57,19 @@ class MinorIndex:
             raise ValueError("minor indices require i < j and k < l")
 
 
+def _canon_entries(ring: Ring, row) -> tuple:
+    """One row of from_rows entry by entry, RingElems included."""
+    vals = []
+    for x in row:
+        if isinstance(x, RingElem):
+            if x.ring != ring:
+                raise RingMismatch(f"entry over {x.ring}, matrix over {ring}")
+            vals.append(x.value)
+        else:
+            vals.append(ring.canon(x))
+    return tuple(vals)
+
+
 class Matrix:
     """Immutable dense matrix over a single ring."""
 
@@ -68,25 +84,28 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, ring: Ring, rows) -> "Matrix":
-        """Build a matrix, canonicalizing raw values and checking shape."""
+        """Build a matrix, canonicalizing raw values and checking shape.
+
+        rows is an iterable of iterables, consumed one row at a time.
+        Entries are raw values or RingElems over ring.
+        """
         data = []
         width = None
+        canon_row = ring.canon_row
         for row in rows:
-            vals = []
-            for x in row:
-                if isinstance(x, RingElem):
-                    if x.ring != ring:
-                        raise RingMismatch(f"entry over {x.ring}, matrix over {ring}")
-                    vals.append(x.value)
-                else:
-                    vals.append(ring.canon(x))
+            if not isinstance(row, (list, tuple)):
+                row = tuple(row)  # canon_row may read a row twice
+            try:
+                vals = canon_row(row)
+            except TypeError:  # RingElem entries, or a bad value the loop reports
+                vals = _canon_entries(ring, row)
             if not vals:
                 raise ShapeMismatch("matrix needs at least one column")
             if width is None:
                 width = len(vals)
             elif len(vals) != width:
                 raise ShapeMismatch("ragged rows")
-            data.append(tuple(vals))
+            data.append(vals)
         if not data:
             raise ShapeMismatch("matrix needs at least one row")
         return cls(ring, tuple(data))
@@ -190,8 +209,7 @@ class Matrix:
             t = factor.value
         else:
             t = ring.canon(factor)
-        mul = ring.mul
-        return Matrix(ring, tuple(tuple(mul(t, x) for x in row) for row in self.data))
+        return Matrix(ring, tuple(map(ring.scale_row, repeat(t), self.data)))
 
     def __eq__(self, other):
         return (

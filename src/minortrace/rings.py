@@ -12,7 +12,10 @@ zeros, the zero polynomial being the empty tuple.
 Matrix products go through ``Ring.matmul``.  Its plain loop serves the
 polynomial rings; Z, Z/m and GF(p) pack each row of the right factor into
 one big integer (Kronecker substitution), so that each output row is a
-single C-level sum of big-integer products.
+single C-level sum of big-integer products.  Likewise ``Ring.canon_row`` and
+``Ring.scale_row`` canonicalize and scale a whole matrix row: the base
+versions call ``canon`` and ``mul`` per entry, while Z, Z/m and GF(p) check
+the row's types once and then do the row in one loop with no call per entry.
 """
 
 from __future__ import annotations
@@ -161,6 +164,14 @@ def _packed_product(a_rows, b_rows, width, finish, shift=0, offset=0):
 # ---------------------------------------------------------------------------
 # Ring descriptors
 
+_INT_ONLY = frozenset((int,))
+
+
+def _all_ints(row) -> bool:
+    """Whether every value is exactly an int (a bool is not), in one C-level pass."""
+    return _INT_ONLY.issuperset(map(type, row))
+
+
 class Ring:
     """A commutative ring; methods operate on raw canonical element values.
 
@@ -191,6 +202,14 @@ class Ring:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def canon_row(self, row) -> tuple:
+        """canon of every value in a sequence, as a tuple."""
+        return tuple(map(self.canon, row))
+
+    def scale_row(self, t, row) -> tuple:
+        """mul(t, x) for every canonical x in a sequence, as a tuple."""
+        return tuple(map(self.mul, repeat(t), row))
 
     def dot(self, xs, ys):
         """Inner product of two equal-length raw-value sequences."""
@@ -243,6 +262,15 @@ class IntegerRing(Ring):
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"integer value expected, got {value!r}")
         return value
+
+    def canon_row(self, row) -> tuple:
+        if _all_ints(row):
+            return tuple(row)
+        return super().canon_row(row)
+
+    def scale_row(self, t, row) -> tuple:
+        _bump(len(row), 0)
+        return tuple([t * x for x in row])
 
     def add(self, a, b):
         _bump(0, 1)
@@ -300,6 +328,19 @@ class _ResidueRing(Ring):
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"integer value expected, got {value!r}")
         return value % self._m
+
+    def canon_row(self, row) -> tuple:
+        if not _all_ints(row):
+            return super().canon_row(row)
+        m = self._m
+        if row and 0 <= min(row) and max(row) < m:  # already reduced, as emitted rows are
+            return tuple(row)
+        return tuple([x % m for x in row])
+
+    def scale_row(self, t, row) -> tuple:
+        _bump(len(row), 0)
+        m = self._m
+        return tuple([t * x % m for x in row])
 
     def add(self, a, b):
         _bump(0, 1)

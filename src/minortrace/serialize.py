@@ -16,6 +16,11 @@ are arrays of base-ring elements, lowest degree first.  A matrix is
 {"ring": <ring>, "rows": [[<elem>, ...], ...]}.  Input integers, in ring
 specs too, are JSON integers or plain decimal strings: ASCII digits after
 an optional minus, with no plus, space or underscore.
+
+Matrices of integer-like elements are decoded and emitted a row at a time,
+each row in one pass where it can be; a row that fails the pass is redone
+entry by entry, so errors read as the per-entry decode gives them, and a
+bad entry anywhere wins over a shape error.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import chain
 
 from .bench import BenchResult
-from .matrices import Matrix
+from .matrices import Matrix, ShapeMismatch
 from .probe import ProbeReport
 from .oracle import EquivalenceReport
 from .rings import (
@@ -35,6 +41,7 @@ from .rings import (
     PrimeFieldRing,
     Ring,
     RingElem,
+    _all_ints,
 )
 from .structure import MinorWitness, OuterFactors, StructureVerdict
 
@@ -48,7 +55,7 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _over_limit(what: str, digits: int) -> SerializeError:
+def _over_limit(what: str, digits) -> SerializeError:
     return SerializeError(
         f"{what}: {digits} digits, above the limit of "
         f"{sys.get_int_max_str_digits()} for a decimal integer"
@@ -157,11 +164,44 @@ def elem_from_obj(ring: Ring, obj):
     return _parse_int(obj, "element")
 
 
+def _int_row_to_obj(ring: Ring, row) -> list:
+    try:
+        return [str(x) for x in row]  # measured faster than map(str, row)
+    except ValueError:  # past the digit cap; elem_to_obj gives the digit count
+        return [elem_to_obj(ring, x) for x in row]
+
+
 def matrix_to_obj(m: Matrix) -> dict:
-    return {
-        "ring": ring_to_obj(m.ring),
-        "rows": [[elem_to_obj(m.ring, x) for x in row] for row in m.data],
-    }
+    ring = m.ring
+    if isinstance(ring, PolynomialRing):
+        rows = [[elem_to_obj(ring, x) for x in row] for row in m.data]
+    else:
+        rows = [_int_row_to_obj(ring, row) for row in m.data]
+    return {"ring": ring_to_obj(ring), "rows": rows}
+
+
+def _int_row_from_obj(row: list) -> list:
+    """One row of integer elements, as elem_from_obj decodes each entry.
+
+    A row of strings whose concatenation is ASCII digits and minus signs
+    goes through int() in one pass; int() itself refuses a misplaced or
+    lone minus and an empty string.  A row of JSON integers (not bools) is
+    taken as it is.  Any other row, and a row int() refuses, is decoded
+    entry by entry, so every error keeps its message.
+    """
+    try:
+        joined = "".join(row)
+    except TypeError:  # not all strings
+        if _all_ints(row):
+            return row
+    else:
+        # bytes.isdigit accepts exactly 0-9 and is faster than str.isdigit
+        if joined.isascii() and joined.encode().replace(b"-", b"").isdigit():
+            try:
+                return list(map(int, row))
+            except ValueError:
+                pass
+    return [_parse_int(x, "element") for x in row]
 
 
 def matrix_from_obj(obj) -> Matrix:
@@ -171,7 +211,41 @@ def matrix_from_obj(obj) -> Matrix:
     rows = obj["rows"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise SerializeError('"rows" must be an array of arrays')
-    return Matrix.from_rows(ring, [[elem_from_obj(ring, x) for x in r] for r in rows])
+    if isinstance(ring, PolynomialRing):
+        decoded = ([elem_from_obj(ring, x) for x in r] for r in rows)
+    else:
+        decoded = map(_int_row_from_obj, rows)
+    # the rows are decoded as from_rows takes them, so no second copy of
+    # the whole matrix is alive at once
+    try:
+        return Matrix.from_rows(ring, decoded)
+    except ShapeMismatch:
+        # a bad entry in a later row wins over a shape error
+        for _ in decoded:
+            pass
+        raise
+
+
+def power_over_limit(a: Matrix, k: int) -> SerializeError | None:
+    """The error for A**k = Tr(A)^(k-1) A over Z when it provably has too many digits.
+
+    None when the bound below does not decide; emitting the result then
+    gives the exact digit count.  With t = |Tr(A)| >= 2 the largest entry
+    of the result is at least 2^L, L = (k-1)(bits(t)-1) + bits(max|a_ij|) - 1,
+    so it has more than 0.30102 L decimal digits.  O(n^2), no power formed.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not (limit and isinstance(a.ring, IntegerRing) and a.is_square):
+        return None
+    t = abs(sum(a.data[i][i] for i in range(a.rows)))  # not a.trace(): counts no ring ops
+    if t < 2:
+        return None
+    top = max(map(abs, chain.from_iterable(a.data)))
+    bits = (k - 1) * (t.bit_length() - 1) + top.bit_length() - 1
+    digits = bits * 30102 // 100000 + 1
+    if digits <= limit:
+        return None
+    return _over_limit("output integer", f"at least {digits}")
 
 
 # ---------------------------------------------------------------------------

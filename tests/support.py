@@ -12,9 +12,11 @@ from minortrace import (
     ModularRing,
     PolynomialRing,
     PrimeFieldRing,
+    ShapeMismatch,
     find_nilpotent_scalar,
     gen_structured,
 )
+from minortrace.serialize import SerializeError, elem_from_obj, ring_from_obj
 
 INT = IntegerRing()
 MOD4 = ModularRing(4)
@@ -73,3 +75,23 @@ def all_minors_naive(a: Matrix):
                     v = a.entry(i, k) * a.entry(j, l) - a.entry(i, l) * a.entry(j, k)
                     out.append(((i, j, k, l), v))
     return out
+
+
+def matrix_from_obj_per_entry(obj) -> Matrix:
+    """Reference decode, one entry at a time: every entry of every row goes
+    through elem_from_obj, then ring.canon, and only then is the shape checked."""
+    if not isinstance(obj, dict) or "ring" not in obj or "rows" not in obj:
+        raise SerializeError('matrix object needs "ring" and "rows"')
+    ring = ring_from_obj(obj["ring"])
+    rows = obj["rows"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise SerializeError('"rows" must be an array of arrays')
+    decoded = [[ring.canon(elem_from_obj(ring, x)) for x in r] for r in rows]
+    if not decoded:
+        raise ShapeMismatch("matrix needs at least one row")
+    for r in decoded:
+        if not r:
+            raise ShapeMismatch("matrix needs at least one column")
+        if len(r) != len(decoded[0]):
+            raise ShapeMismatch("ragged rows")
+    return Matrix(ring, tuple(map(tuple, decoded)))

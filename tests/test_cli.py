@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -396,6 +397,24 @@ def test_integers_past_the_digit_limit_exit_2_in_and_out(tmp_path, capsys, argv)
     limit = sys.get_int_max_str_digits()
     assert f"digits, above the limit of {limit} for a decimal integer" in err
     assert "set_int_max_str_digits" not in err
+
+
+def test_power_refuses_an_unprintable_result_before_computing_it(tmp_path, capsys):
+    # 3^(3*10^7 - 1) has about 1.4e7 digits; forming it takes tens of seconds
+    three = write_matrix(tmp_path / "three.json", [[3]])
+    start = time.perf_counter()
+    code, payload, err = run(capsys, "power", three, str(3 * 10**7))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and payload is None
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        f"error: output integer: at least 9030601 digits, above the limit of {limit} "
+        "for a decimal integer\n"
+    )
+    # an unstructured A still gets its witness first
+    code, payload, _ = run(capsys, "power", write_matrix(tmp_path / "u.json", [[1, 2], [3, 4]]),
+                           str(3 * 10**7))
+    assert code == 3 and payload["structured"] is False
 
 
 def test_prime_field_order_stops_below_psi_13(capsys):

@@ -3,7 +3,9 @@
 The corpus pins the observable behaviour of every subcommand (bench only
 through its argument errors, since its timings vary) on fixed inputs: nine
 rings, orders 1 to 32, outer-product, random, zero, almost-structured and
-nilpotent-scalar matrices, non-canonical encodings and malformed files.
+nilpotent-scalar matrices, non-canonical encodings and malformed files,
+among them files whose shape error comes before a bad entry (the entry's
+error is the one reported).
 
 The inputs are built here from seeded pure-Python arithmetic, independent
 of the library; the expected results live in golden_cli.json.  Stdout
@@ -142,6 +144,7 @@ def build_inputs() -> dict[str, str]:
                 nil = [[s * _sample(rng, modulus, poly) for _ in range(n)] for _ in range(n)]
                 files[f"{tag}_nil_{n}.json"] = _matrix_text(ring_obj, enc(nil))
     files.update(_malformed_inputs())
+    files.update(_error_order_inputs())
     return files
 
 
@@ -201,6 +204,25 @@ def _malformed_inputs() -> dict[str, str]:
             [[[["1"], ["0", "1"]], [["2"]]], [[["2"], ["0", "2"]], [["4"]]]],
         ),
         "ok_spaces.json": '  {"rows" : [ [ "1" , "1" ] , [ "1" , "1" ] ] ,\n "ring" : {"kind":"int"} }',
+    }
+
+
+def _error_order_inputs() -> dict[str, str]:
+    """Files with a shape error before a decode error: the decode error wins."""
+    int_obj = {"kind": "int"}
+    mod12 = {"kind": "mod", "modulus": "12"}
+    gf = {"kind": "gf", "p": "65537"}
+    poly_int = {"kind": "poly", "base": int_obj, "var": "x"}
+    long_entry = "9" * 4301
+    return {
+        "order_empty_then_bad.json": _matrix_text(int_obj, [[], ["1_0"]]),
+        "order_ragged_then_bad.json": _matrix_text(int_obj, [["1", "2"], ["3"], ["x"]]),
+        "order_true_after_good.json": _matrix_text(int_obj, [["1", "2"], [True]]),
+        "order_ragged_then_long.json": _matrix_text(int_obj, [["1", "2"], ["3"], [long_entry]]),
+        "order_numbers_ragged_then_float.json": _matrix_text(int_obj, [[1, 2], [3], [4, 1.5]]),
+        "order_mod_empty_then_bad.json": _matrix_text(mod12, [["1"], [], ["-"]]),
+        "order_gf_ragged_then_true.json": _matrix_text(gf, [["1", "2"], ["3", "4", "5"], [True]]),
+        "order_poly_ragged_then_bad.json": _matrix_text(poly_int, [[["1"], ["2"]], [["3"]], ["4"]]),
     }
 
 
@@ -304,6 +326,11 @@ def build_calls() -> list[tuple[list[str], str | None]]:
         add(*argv)
     add("check", "-", stdin="ok_spaces.json")
     add("decompose", stdin="ok_gf5_2.json")
+    for name in _error_order_inputs():  # appended, so earlier records keep their index
+        add("check", name)
+        add("verify", "ok_int_numbers.json", name, "--fast")
+        add("power", name, "2")
+        add("check", "-", stdin=name)
     return calls
 
 

@@ -10,18 +10,20 @@ from minortrace import (
     MinorIndex,
     ModularRing,
     NotSquare,
+    PrimeFieldRing,
     RingMismatch,
     ShapeMismatch,
     TooLarge,
     TooSmall,
     block_join,
     cayley_hamilton_2x2,
+    count_ops,
     det_small,
     matrix_unit,
     outer,
     random_matrix,
 )
-from support import ALL_RINGS, GF5, INT, MOD4, matrices
+from support import ALL_RINGS, GF5, INT, MOD4, POLY_INT, matrices
 
 
 def mat(rows, ring=INT):
@@ -62,6 +64,39 @@ def test_from_rows_validation():
         Matrix.from_rows(INT, [[1, 2], [3]])
     with pytest.raises(RingMismatch):
         Matrix.from_rows(INT, [[MOD4.elem(1)]])
+
+
+def test_from_rows_takes_ring_elements_and_raw_values_per_row():
+    a = Matrix.from_rows(MOD4, [[MOD4.elem(5), 6], [7, -1], (2, 3)])
+    assert a.data == ((1, 2), (3, 3), (2, 3))
+    rows = ((x for x in r) for r in [[MOD4.elem(5), 6], [7, -1], (2, 3)])
+    assert Matrix.from_rows(MOD4, rows) == a
+    with pytest.raises(RingMismatch):
+        Matrix.from_rows(MOD4, [[1, 2], [3, GF5.elem(1)]])
+    with pytest.raises(TypeError):
+        Matrix.from_rows(MOD4, [[MOD4.elem(1), True]])
+
+
+SCALE_RINGS = [INT, MOD4, ModularRing(2**61 - 1), PrimeFieldRing(65537), POLY_INT]
+
+
+@pytest.mark.parametrize("ring", SCALE_RINGS, ids=["int", "mod4", "mod61", "gf65537", "polyint"])
+def test_scale_matches_the_per_entry_product_and_its_op_counts(ring):
+    rng = random.Random(3)
+    for rows, cols in ((1, 1), (3, 5), (16, 16)):
+        a = random_matrix(rng, ring, rows, cols)
+        t = random_matrix(rng, ring, 1, 1).data[0][0]
+        with count_ops() as per_entry:
+            want = tuple(tuple(ring.mul(t, x) for x in row) for row in a.data)
+        for factor in (ring.elem(t), t):
+            with count_ops() as counts:
+                got = a.scale(factor)
+            assert got.data == want
+            assert (counts.mul, counts.add) == (per_entry.mul, per_entry.add)
+            if ring is not POLY_INT:  # a polynomial product counts its coefficient ops
+                assert (counts.mul, counts.add) == (rows * cols, 0)
+        with pytest.raises(RingMismatch):
+            a.scale(ModularRing(7).elem(1))
 
 
 def test_trace_examples():

@@ -1,7 +1,19 @@
+import gc
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minortrace import IntegerRing, Matrix, ModularRing, PolynomialRing, PrimeFieldRing
+from minortrace import (
+    IntegerRing,
+    Matrix,
+    ModularRing,
+    PolynomialRing,
+    PrimeFieldRing,
+    random_matrix,
+)
 from minortrace.serialize import (
     SerializeError,
     dumps,
@@ -12,7 +24,7 @@ from minortrace.serialize import (
     ring_from_obj,
     ring_to_obj,
 )
-from support import ALL_RINGS, INT, POLY_INT, matrices
+from support import ALL_RINGS, INT, POLY_INT, matrices, matrix_from_obj_per_entry
 
 
 def test_ring_round_trips():
@@ -107,3 +119,77 @@ def test_matrix_from_obj_errors():
 def test_loads_rejects_bad_json():
     with pytest.raises(SerializeError):
         loads("{not json")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[], ["1_0"]], "element: expected a decimal integer, got '1_0'"),
+        ([["1", "2"], ["3"], ["x"]], "element: expected a decimal integer, got 'x'"),
+        ([[1, 2], [3], [True]], "element: expected a decimal integer, got True"),
+    ],
+)
+def test_a_bad_entry_wins_over_an_earlier_shape_error(rows, message):
+    with pytest.raises(SerializeError) as info:
+        matrix_from_obj({"ring": {"kind": "int"}, "rows": rows})
+    assert str(info.value) == message
+
+
+LONG = "9" * 4301  # one digit past the default int/str limit
+ENTRY_POOL = [
+    "0", "-0", "7", "-7", "007", "12", "-13", "65536", "65537", str(2**61), str(-(2**64) - 3),
+    0, 1, -1, 12, 65537, 2**61 - 1, -(2**70),
+    "1_0", " 7", "7 ", "+5", "", "-", "--1", "1-2", "1,2", "\u0665", "1\u0662", "\ud800",
+    True, False, 1.5, None, [1], ["1"], LONG, "-" + LONG,
+]
+RING_OBJS = [
+    {"kind": "int"},
+    {"kind": "mod", "modulus": "12"},
+    {"kind": "mod", "modulus": str(2**61 - 1)},
+    {"kind": "gf", "p": "65537"},
+]
+
+
+@st.composite
+def matrix_objs(draw):
+    width = draw(st.integers(0, 4))
+    valid = st.sampled_from(ENTRY_POOL[:18])
+    strings = st.sampled_from(ENTRY_POOL[:11])
+    numbers = st.sampled_from(ENTRY_POOL[11:18])
+    anything = st.sampled_from(ENTRY_POOL)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = width if draw(st.booleans()) else draw(st.integers(0, 5))
+        entries = draw(st.sampled_from([strings, numbers, valid, anything]))
+        rows.append(draw(st.lists(entries, min_size=n, max_size=n)))
+    return {"ring": draw(st.sampled_from(RING_OBJS)), "rows": rows}
+
+
+def _outcome(decode, obj):
+    try:
+        return decode(obj)
+    except Exception as exc:  # the exception's type and text are the outcome
+        return type(exc), str(exc)
+
+
+@given(obj=matrix_objs())
+@settings(max_examples=400, deadline=None)
+def test_row_decode_matches_the_per_entry_decode(obj):
+    assert _outcome(matrix_from_obj, obj) == _outcome(matrix_from_obj_per_entry, obj)
+
+
+@pytest.mark.parametrize("spec", ["int", f"mod:{2**61 - 1}", "gf:65537"])
+def test_decode_peak_memory_is_about_the_matrix_it_returns(spec):
+    ring = parse_ring_spec(spec)
+    want = random_matrix(random.Random(5), ring, 256, 256)
+    obj = loads(dumps(matrix_to_obj(want)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        got = matrix_from_obj(obj)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # the rows stream into the matrix: no decoded copy of the whole matrix
+    assert peak <= 1.1 * size
