@@ -20,8 +20,10 @@ from .kernels import (
     StructurePreconditionFailed,
     _square_pair,
     naive_aba,
+    require_structured,
     structured_aba,
     structured_power,
+    structured_power_bits,
 )
 from .matrices import Matrix, MatrixError
 from .oracle import TooLargeToEnumerate, exhaustive_characterization, verify_identity
@@ -36,8 +38,8 @@ from .serialize import (
     loads,
     matrix_from_obj,
     matrix_to_obj,
+    output_bits_over_limit,
     parse_ring_spec,
-    power_over_limit,
     probe_report_to_obj,
     verdict_to_obj,
 )
@@ -173,9 +175,9 @@ def _cmd_power(args) -> int:
         _note("error: exponent must be >= 1")
         return 2
     try:
-        refusal = power_over_limit(a, args.exponent)
+        refusal = output_bits_over_limit(structured_power_bits(a, args.exponent))
         if refusal is not None:
-            structured_power(a, 1)  # certifies A, so an unstructured A still exits 3
+            require_structured(a)  # an unstructured A still exits 3 with its witness
             raise refusal
         result = structured_power(a, args.exponent)
     except StructurePreconditionFailed as exc:

@@ -9,9 +9,10 @@ The naive routines are kept alongside as oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .matrices import Matrix, ShapeMismatch
-from .rings import RingElem, RingMismatch
+from .rings import IntegerRing, RingElem, RingMismatch
 from .structure import MinorWitness, OuterFactors, check_vanishing_minors
 
 
@@ -36,7 +37,8 @@ def _square_pair(a: Matrix, b: Matrix) -> None:
         )
 
 
-def _require_structured(a: Matrix) -> None:
+def require_structured(a: Matrix) -> None:
+    """Raise StructurePreconditionFailed unless every 2x2 minor of A vanishes."""
     verdict = check_vanishing_minors(a)
     if not verdict.structured:
         raise StructurePreconditionFailed(verdict.witness)
@@ -74,7 +76,7 @@ def structured_aba(a: Matrix, b: Matrix, *, check: bool = True) -> Matrix:
     """
     _square_pair(a, b)
     if check:
-        _require_structured(a)
+        require_structured(a)
     return a.scale(trace_of_product(a, b))
 
 
@@ -90,11 +92,29 @@ def structured_power(a: Matrix, k: int) -> Matrix:
         raise ShapeMismatch(f"square matrix required, got {a.rows}x{a.cols}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"exponent must be an integer >= 1, got {k!r}")
-    _require_structured(a)
+    require_structured(a)
     if k == 1:
         return a
     ring = a.ring
     return a.scale(ring.pow_scalar(a.trace().value, k - 1))
+
+
+def structured_power_bits(a: Matrix, k: int) -> int:
+    """A floor on the bit length of the largest entry of A**k over Z, for structured A.
+
+    A**k = Tr(A)**(k-1) * A.  With t = |Tr(A)| >= 2 and M = max |a_ij|,
+    t >= 2**(bits(t)-1) and M >= 2**(bits(M)-1), so that entry has at least
+    (k-1)(bits(t)-1) + bits(M) bits.  0 over other rings, for non-square A
+    and for t < 2.  A is not certified, no power is formed and no ring
+    operation is counted: O(n^2) plain integer work.
+    """
+    if not (isinstance(a.ring, IntegerRing) and a.is_square):
+        return 0
+    t = abs(sum(a.data[i][i] for i in range(a.rows)))
+    if t < 2:
+        return 0
+    top = max(map(abs, chain.from_iterable(a.data)))
+    return (k - 1) * (t.bit_length() - 1) + top.bit_length()
 
 
 def trace_product_via_outer(factors: OuterFactors, b: Matrix) -> RingElem:
@@ -132,7 +152,7 @@ def check_corollaries(a: Matrix, b: Matrix) -> CorollaryResiduals:
     StructurePreconditionFailed before any product is formed.
     """
     _square_pair(a, b)
-    _require_structured(a)
+    require_structured(a)
     ab = a @ b
     t = ab.trace()
     ta = a.trace()

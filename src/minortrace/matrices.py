@@ -57,19 +57,6 @@ class MinorIndex:
             raise ValueError("minor indices require i < j and k < l")
 
 
-def _canon_entries(ring: Ring, row) -> tuple:
-    """One row of from_rows entry by entry, RingElems included."""
-    vals = []
-    for x in row:
-        if isinstance(x, RingElem):
-            if x.ring != ring:
-                raise RingMismatch(f"entry over {x.ring}, matrix over {ring}")
-            vals.append(x.value)
-        else:
-            vals.append(ring.canon(x))
-    return tuple(vals)
-
-
 class Matrix:
     """Immutable dense matrix over a single ring."""
 
@@ -95,10 +82,7 @@ class Matrix:
         for row in rows:
             if not isinstance(row, (list, tuple)):
                 row = tuple(row)  # canon_row may read a row twice
-            try:
-                vals = canon_row(row)
-            except TypeError:  # RingElem entries, or a bad value the loop reports
-                vals = _canon_entries(ring, row)
+            vals = canon_row(row)
             if not vals:
                 raise ShapeMismatch("matrix needs at least one column")
             if width is None:

@@ -167,7 +167,7 @@ def _packed_product(a_rows, b_rows, width, finish, shift=0, offset=0):
 _INT_ONLY = frozenset((int,))
 
 
-def _all_ints(row) -> bool:
+def all_ints(row) -> bool:
     """Whether every value is exactly an int (a bool is not), in one C-level pass."""
     return _INT_ONLY.issuperset(map(type, row))
 
@@ -204,8 +204,20 @@ class Ring:
         return self.add(a, self.neg(b))
 
     def canon_row(self, row) -> tuple:
-        """canon of every value in a sequence, as a tuple."""
-        return tuple(map(self.canon, row))
+        """canon of every value in a sequence, as a tuple.
+
+        A RingElem over this ring gives its value; one over another ring
+        raises RingMismatch.
+        """
+        vals = []
+        for x in row:
+            if isinstance(x, RingElem):
+                if x.ring != self:
+                    raise RingMismatch(f"entry over {x.ring}, matrix over {self}")
+                vals.append(x.value)
+            else:
+                vals.append(self.canon(x))
+        return tuple(vals)
 
     def scale_row(self, t, row) -> tuple:
         """mul(t, x) for every canonical x in a sequence, as a tuple."""
@@ -264,7 +276,7 @@ class IntegerRing(Ring):
         return value
 
     def canon_row(self, row) -> tuple:
-        if _all_ints(row):
+        if all_ints(row):
             return tuple(row)
         return super().canon_row(row)
 
@@ -330,10 +342,12 @@ class _ResidueRing(Ring):
         return value % self._m
 
     def canon_row(self, row) -> tuple:
-        if not _all_ints(row):
+        if not all_ints(row):
             return super().canon_row(row)
         m = self._m
-        if row and 0 <= min(row) and max(row) < m:  # already reduced, as emitted rows are
+        # a row already reduced, as emitted rows are, keeps its ints: no
+        # division per entry and no second set of int objects
+        if row and 0 <= min(row) and max(row) < m:
             return tuple(row)
         return tuple([x % m for x in row])
 

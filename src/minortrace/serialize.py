@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import chain
 
 from .bench import BenchResult
 from .matrices import Matrix, ShapeMismatch
@@ -41,7 +40,7 @@ from .rings import (
     PrimeFieldRing,
     Ring,
     RingElem,
-    _all_ints,
+    all_ints,
 )
 from .structure import MinorWitness, OuterFactors, StructureVerdict
 
@@ -192,7 +191,7 @@ def _int_row_from_obj(row: list) -> list:
     try:
         joined = "".join(row)
     except TypeError:  # not all strings
-        if _all_ints(row):
+        if all_ints(row):
             return row
     else:
         # bytes.isdigit accepts exactly 0-9 and is faster than str.isdigit
@@ -226,24 +225,16 @@ def matrix_from_obj(obj) -> Matrix:
         raise
 
 
-def power_over_limit(a: Matrix, k: int) -> SerializeError | None:
-    """The error for A**k = Tr(A)^(k-1) A over Z when it provably has too many digits.
+def output_bits_over_limit(bits: int) -> SerializeError | None:
+    """The digit-cap error for an output integer of at least `bits` bits.
 
-    None when the bound below does not decide; emitting the result then
-    gives the exact digit count.  With t = |Tr(A)| >= 2 the largest entry
-    of the result is at least 2^L, L = (k-1)(bits(t)-1) + bits(max|a_ij|) - 1,
-    so it has more than 0.30102 L decimal digits.  O(n^2), no power formed.
+    None when that many bits do not pass the cap; emitting the integer then
+    gives its exact digit count.  An integer of b bits is at least
+    2**(b-1), so it has more than 0.30102 (b-1) decimal digits.
     """
     limit = sys.get_int_max_str_digits()
-    if not (limit and isinstance(a.ring, IntegerRing) and a.is_square):
-        return None
-    t = abs(sum(a.data[i][i] for i in range(a.rows)))  # not a.trace(): counts no ring ops
-    if t < 2:
-        return None
-    top = max(map(abs, chain.from_iterable(a.data)))
-    bits = (k - 1) * (t.bit_length() - 1) + top.bit_length() - 1
-    digits = bits * 30102 // 100000 + 1
-    if digits <= limit:
+    digits = (bits - 1) * 30102 // 100000 + 1
+    if not limit or digits <= limit:
         return None
     return _over_limit("output integer", f"at least {digits}")
 

@@ -23,6 +23,7 @@ from minortrace import (
     trace_of_product,
     trace_product_via_outer,
 )
+from minortrace.kernels import structured_power_bits
 from support import INT, MOD4, rand_structured
 
 
@@ -116,6 +117,20 @@ def test_structured_power_agreement(ring):
         for _ in range(k - 1):
             expected = expected @ a
         assert structured_power(a, k) == expected
+
+
+def test_structured_power_bits_is_a_floor():
+    assert structured_power_bits(mat([[2]]), 10) == (2**10).bit_length()
+    assert structured_power_bits(mat([[3]]), 5) == 6  # 3^5 = 243 has 8 bits
+    assert structured_power_bits(mat([[1, 1], [0, 0]]), 99) == 0  # |Tr(A)| < 2
+    assert structured_power_bits(mat([[3]], MOD4), 9) == 0  # not over Z
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        a = rand_structured(rng, INT, n)
+        k = rng.randint(1, 12)
+        top = max(abs(x) for row in structured_power(a, k).data for x in row)
+        assert structured_power_bits(a, k) <= top.bit_length()
 
 
 def test_trace_product_via_outer_examples():
