@@ -6,16 +6,24 @@ all 2x2 minors vanish, and confirm the two classifications coincide.  The
 for-every-B side is decided by probing the n^2 unit matrices, which is
 provably equivalent to the full quantifier; periodic full-B spot checks
 keep that shortcut honest.
+
+A spot check tries every B, but not one at a time: the m^(n(n-1)) matrices
+B that share a first row are packed into one n x n integer matrix, one
+fixed-width field per B, and a single residual over Z holds all of their
+residuals.  Each of those lies in [-n^2 (m-1)^3, n^2 (m-1)^3], so fields of
+the smallest of 1, 2, 4 or 8 bytes that holds twice that bound never carry
+into each other once an offset lifts them above zero.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
 from .kernels import _square_pair
 from .matrices import Matrix, NotSquare, TooSmall
-from .rings import Ring, _ResidueRing
+from .rings import IntegerRing, Ring, _ResidueRing
 # the literal minor scan, not the certificate: the oracle's minor side must
 # stay independent of the fast structure test it cross-checks
 from .structure import _scan_minors
@@ -87,13 +95,57 @@ def iter_all_matrices(ring: Ring, n: int):
         yield Matrix(ring, tuple(entries[r * n : (r + 1) * n] for r in range(n)))
 
 
+_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # field width -> memoryview format
+
+
 def universal_identity_by_enumeration(a: Matrix) -> bool:
-    """Decide the for-every-B question by trying literally every B."""
+    """Decide the for-every-B question by trying literally every B.
+
+    The B with one first row r are checked together, bit-parallel over Z.
+    Lift A to the integers (its entries lie in [0, m)) and pack those
+    m^(n(n-1)) matrices into one integer matrix P, one w-byte field per B
+    in enumeration order: entry (k, j) of P, k >= 1, holds entry (k, j) of
+    each B in its own field, and row 0 is r times the repunit R with one 1
+    per field.  The residual A P A - Tr(AP) A is linear in P, so its field t
+    is B_t's residual over Z, which reduces mod m to the residual over Z/m.
+    Every residual entry lies in [-n^2 (m-1)^3, n^2 (m-1)^3]; with offset the
+    least multiple of m at or above that bound and 2 offset < 256^w, adding
+    offset * R makes every field nonnegative and below 256^w, so the fields
+    decode one by one, and B_t satisfies the identity iff each of its fields
+    is 0 mod m.  One verify_identity per first row keeps an early exit.
+    """
     if not a.is_square:
         raise NotSquare(f"square matrix required, got {a.rows}x{a.cols}")
-    for b in iter_all_matrices(a.ring, a.rows):
-        if not verify_identity(a, b).is_zero():
-            return False
+    n = a.rows
+    values = _enumerable_values(a.ring, n)
+    m = len(values)
+    offset = -(-n * n * (m - 1) ** 3 // m) * m
+    width = next(w for w in _FIELD_FORMATS if 2 * offset < 256**w)
+    fmt = _FIELD_FORMATS[width]
+    count = m ** (n * (n - 1))  # B per first row
+    size = width * count
+    from_bytes = int.from_bytes
+    fields = [v.to_bytes(width, "little") for v in values]
+    repunit = from_bytes((1).to_bytes(width, "little") * count, "little")
+    # entry e of rows 1..n-1 (row-major) runs through values in runs of
+    # m^(n(n-1)-1-e) fields, the order itertools.product gives
+    rest = []
+    run = count
+    for _ in range(n * (n - 1)):
+        run //= m
+        rest.append(from_bytes(b"".join(f * run for f in fields) * (count // (run * m)), "little"))
+    rest_rows = tuple(tuple(rest[k * n : (k + 1) * n]) for k in range(n - 1))
+    integers = IntegerRing()
+    a_z = Matrix(integers, a.data)
+    lift = offset * repunit
+    for first in itertools.product(values, repeat=n):
+        p = Matrix(integers, (tuple([x * repunit for x in first]),) + rest_rows)
+        for row in verify_identity(a_z, p).data:
+            for x in row:
+                # native byte order, the order cast reads a field in
+                view = memoryview((x + lift).to_bytes(size, sys.byteorder)).cast(fmt)
+                if any(map(m.__rmod__, view)):
+                    return False
     return True
 
 

@@ -61,12 +61,20 @@ def _over_limit(what: str, digits) -> SerializeError:
     )
 
 
-_DECODER = json.JSONDecoder(parse_int=lambda text: _parse_int(text, "JSON number"))
+_DECODER = json.JSONDecoder()
+# calls back into Python once per JSON number, so it runs only to name the
+# digit count of a number past the int/str digit limit
+_DIGIT_COUNT_DECODER = json.JSONDecoder(parse_int=lambda text: _parse_int(text, "JSON number"))
 
 
 def loads(text: str):
     try:
-        return _DECODER.decode(text)
+        try:
+            return _DECODER.decode(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # int() refused a JSON number past the digit limit
+            return _DIGIT_COUNT_DECODER.decode(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise SerializeError(f"invalid JSON: {exc}") from exc
 

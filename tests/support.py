@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 from hypothesis import strategies as st
@@ -15,8 +16,10 @@ from minortrace import (
     ShapeMismatch,
     find_nilpotent_scalar,
     gen_structured,
+    iter_all_matrices,
+    verify_identity,
 )
-from minortrace.serialize import SerializeError, elem_from_obj, ring_from_obj
+from minortrace.serialize import SerializeError, _parse_int, elem_from_obj, ring_from_obj
 
 INT = IntegerRing()
 MOD4 = ModularRing(4)
@@ -77,6 +80,16 @@ def all_minors_naive(a: Matrix):
     return out
 
 
+def loads_per_number(text: str):
+    """Reference JSON decode: every JSON number goes through _parse_int, so a
+    number past the digit limit fails there, with its digit count."""
+    decoder = json.JSONDecoder(parse_int=lambda digits: _parse_int(digits, "JSON number"))
+    try:
+        return decoder.decode(text)
+    except (ValueError, RecursionError) as exc:
+        raise SerializeError(f"invalid JSON: {exc}") from exc
+
+
 def matrix_from_obj_per_entry(obj) -> Matrix:
     """Reference decode, one entry at a time: every entry of every row goes
     through elem_from_obj, then ring.canon, and only then is the shape checked."""
@@ -95,3 +108,8 @@ def matrix_from_obj_per_entry(obj) -> Matrix:
         if len(r) != len(decoded[0]):
             raise ShapeMismatch("ragged rows")
     return Matrix(ring, tuple(map(tuple, decoded)))
+
+
+def universal_identity_per_b(a: Matrix) -> bool:
+    """Reference full-B decision: the residual of every B, one B at a time."""
+    return all(verify_identity(a, b).is_zero() for b in iter_all_matrices(a.ring, a.rows))

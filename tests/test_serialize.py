@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import tracemalloc
 
@@ -24,7 +25,14 @@ from minortrace.serialize import (
     ring_from_obj,
     ring_to_obj,
 )
-from support import ALL_RINGS, INT, POLY_INT, matrices, matrix_from_obj_per_entry
+from support import (
+    ALL_RINGS,
+    INT,
+    POLY_INT,
+    loads_per_number,
+    matrices,
+    matrix_from_obj_per_entry,
+)
 
 
 def test_ring_round_trips():
@@ -119,6 +127,36 @@ def test_matrix_from_obj_errors():
 def test_loads_rejects_bad_json():
     with pytest.raises(SerializeError):
         loads("{not json")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def json_texts(draw):
+    text = json.dumps(draw(JSON_VALUES))
+    if draw(st.booleans()):  # a number past the digit limit, in a list
+        sign = draw(st.sampled_from(["", "-"]))
+        text = f"[{text}, {sign}{'9' * draw(st.integers(4301, 4400))}]"
+    if draw(st.booleans()):  # cut short, so the text may end in a syntax error
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@given(text=json_texts())
+@settings(max_examples=300, deadline=None)
+def test_loads_matches_the_per_number_decode(text):
+    def outcome(decode):
+        try:
+            return repr(decode(text))  # repr tells 1, 1.0 and True apart
+        except SerializeError as exc:
+            return str(exc)
+
+    assert outcome(loads) == outcome(loads_per_number)
 
 
 @pytest.mark.parametrize(
