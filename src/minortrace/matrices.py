@@ -4,7 +4,8 @@ Entries are stored as canonical raw ring values in row-major tuples;
 everything is immutable and every operation returns a fresh matrix.
 Indices are 0-based throughout the library; the CLI renders them 1-based.
 The product ``@`` is the ring's ``matmul``: a packed big-integer product
-over Z, Z/m and GF(p), one dot product per entry over polynomial rings.
+over Z, Z/m and GF(p) and over polynomial rings in one variable on them,
+one dot product per entry over two-variable polynomial rings.
 ``from_rows`` and ``scale`` work a row at a time, through the ring's
 ``canon_row`` and ``scale_row``.
 """

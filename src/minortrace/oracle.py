@@ -61,18 +61,18 @@ def universal_identity_via_probes(a: Matrix) -> bool:
     """
     if not a.is_square:
         raise NotSquare(f"square matrix required, got {a.rows}x{a.cols}")
-    ring = a.ring
-    mul = ring.mul
+    scale_row = a.ring.scale_row
     d = a.data
     n = a.rows
     for l in range(n):
         for j in range(n):
             s = d[j][l]
+            dj = d[j]
+            # row x of the probe's two sides, a[x][l] * row_j(A) and
+            # a[j][l] * row_x(A); at x = j they are the same product
             for x in range(n):
-                dxl = d[x][l]
-                for y in range(n):
-                    if mul(dxl, d[j][y]) != mul(s, d[x][y]):
-                        return False
+                if x != j and scale_row(d[x][l], dj) != scale_row(s, d[x]):
+                    return False
     return True
 
 

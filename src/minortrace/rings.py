@@ -9,10 +9,16 @@ Elements are immutable values in canonical form: residues reduced to [0, m),
 polynomial coefficient tuples (lowest degree first) stripped of trailing
 zeros, the zero polynomial being the empty tuple.
 
-Matrix products go through ``Ring.matmul``.  Its plain loop serves the
-polynomial rings; Z, Z/m and GF(p) pack each row of the right factor into
-one big integer (Kronecker substitution), so that each output row is a
-single C-level sum of big-integer products.  Likewise ``Ring.canon_row`` and
+Matrix products go through ``Ring.matmul``.  Z, Z/m and GF(p) pack each
+row of the right factor into one big integer (Kronecker substitution), so
+that each output row is a single C-level sum of big-integer products; fields
+of up to 8 bytes pack and unpack as machine words through ``array`` and
+``memoryview``.  Polynomial rings over Z, Z/m and GF(p) substitute once
+more: every entry is evaluated at a power of two, the product runs on the
+packed path with one field per coefficient, and the fields are cut back
+into coefficients.  Their scalar ``mul`` and ``add`` work on plain int
+coefficients in one loop.  A depth-2 polynomial ring keeps the plain dot
+loop over its inner ring.  Likewise ``Ring.canon_row`` and
 ``Ring.scale_row`` canonicalize and scale a whole matrix row: the base
 versions call ``canon`` and ``mul`` per entry, while Z, Z/m and GF(p) check
 the row's types once and then do the row in one loop with no call per entry.
@@ -21,6 +27,8 @@ the row's types once and then do the row in one loop with no call per entry.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -59,7 +67,13 @@ def count_ops():
 
     Context-local, so concurrent counts in different threads do not mix.
     Fused inner loops report their counts in bulk; the totals always equal
-    the number of ring operations logically performed.
+    the number of ring operations logically performed.  A matrix product
+    over a depth-1 polynomial ring counts what accumulating every
+    coefficient product straight into its output coefficient costs: the
+    exact coefficient multiplications and as many additions.  The dot loop
+    it replaces reports the same multiplications and more additions, since
+    it also adds whole partial sums, as many more as their lengths after
+    cancellation give.
     """
     counts = OpCounts()
     token = _ACTIVE_COUNTS.set(counts)
@@ -124,41 +138,74 @@ def is_prime(n: int) -> bool:
 _RESIDUE_PACKED_FLOOR = 7
 _INTEGER_PACKED_FLOOR = 10
 
+# array typecode for each machine-word field width.  The packed integers are
+# little-endian and array items and memoryview casts are native, so the
+# word path runs on little-endian hosts only
+_WORD_CODES = {array(code).itemsize: code for code in "QLIHB"} if sys.byteorder == "little" else {}
 
-def _packed_product(a_rows, b_rows, width, finish, shift=0, offset=0):
-    """Exact rows of a @ b over the integers, one big-integer sum per row.
+
+def _field_format(width):
+    """The width a packed product uses for fields of width bytes, and its typecode.
+
+    A width of at most 8 bytes rounds up to the next array item size, whose
+    fields pack and unpack in C; a wider one stays as it is, typecode None.
+    """
+    for size in (1, 2, 4, 8):
+        if width <= size and size in _WORD_CODES:
+            return size, _WORD_CODES[size]
+    return width, None
+
+
+def _packed_fields(a_rows, b_rows, width, shift=0, offset=0):
+    """Fields of the rows of a @ b over the integers, one big-integer sum per row.
 
     Each row of b, every entry raised by shift so that none is negative,
-    becomes one integer with entry j in the little-endian bytes
-    [j * width, (j + 1) * width).  The sum of a[i][k] times packed row k
-    then holds entry (i, j) of the product in field j.  The shift is taken
-    back and offset added per field in one product with the repunit
-    1 + 2^(8 width) + 2^(16 width) + ..., and finish maps each field to the
-    result entry.  Exact when every entry plus offset lies in
-    [0, 2^(8 width)) and every shifted b entry fits one field.
-    Reports the logical dot-product op counts to count_ops() in bulk.
+    becomes one integer with entry j in field j, bytes [j * width,
+    (j + 1) * width) counted from the low end.  The sum of a[i][k] times
+    packed row k then holds entry (i, j) of the product in field j.  The
+    shift is taken back and offset added per field in one product with the
+    repunit 1 + 2^(8 width) + 2^(16 width) + ..., and the fields of each row
+    are yielded as a sequence of nonnegative ints, entry plus offset.  Exact
+    when every entry plus offset lies in [0, 2^(8 width)) and every shifted
+    b entry fits one field; _field_format may widen the fields first.
     """
-    k = len(b_rows)
+    width, code = _field_format(width)
     cols = len(b_rows[0])
-    _bump(len(a_rows) * cols * k, len(a_rows) * cols * (k - 1))
+    if shift:
+        add_shift = shift.__add__
+        b_rows = [map(add_shift, row) for row in b_rows]
     from_bytes = int.from_bytes
-    lengths, order = repeat(width), repeat("little")
-    add_shift = shift.__add__
-    packed = [
-        from_bytes(b"".join(map(int.to_bytes, map(add_shift, row), lengths, order)), "little")
-        for row in b_rows
-    ]
+    if code:
+        packed = [from_bytes(array(code, row).tobytes(), "little") for row in b_rows]
+    else:
+        lengths, order = repeat(width), repeat("little")
+        packed = [
+            from_bytes(b"".join(map(int.to_bytes, row, lengths, order)), "little") for row in b_rows
+        ]
     repunit = from_bytes(b"\x01".ljust(width, b"\x00") * cols, "little")
     size = width * cols
     starts = range(0, size, width)
-    out = []
     for row in a_rows:
         total = sum(map(operator.mul, row, packed))
         if shift or offset:
             total += (offset - shift * sum(row)) * repunit
         buf = total.to_bytes(size, "little")
-        out.append(tuple([finish(from_bytes(buf[i : i + width], "little")) for i in starts]))
-    return tuple(out)
+        if code:
+            yield memoryview(buf).cast(code)
+        else:
+            yield [from_bytes(buf[i : i + width], "little") for i in starts]
+
+
+def _packed_product(a_rows, b_rows, width, finish, shift=0, offset=0):
+    """Rows of a @ b from _packed_fields, finish mapping each field to its entry.
+
+    Reports the logical dot-product op counts to count_ops() in bulk.
+    """
+    k = len(b_rows)
+    cols = len(b_rows[0])
+    _bump(len(a_rows) * cols * k, len(a_rows) * cols * (k - 1))
+    rows = _packed_fields(a_rows, b_rows, width, shift, offset)
+    return tuple(tuple(map(finish, fields)) for fields in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +473,22 @@ def _poly_depth(ring: Ring) -> int:
     return depth
 
 
+def _strip_ints(coeffs) -> tuple:
+    """A coefficient list of plain ints as a tuple, trailing zeros dropped."""
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
 @dataclass(frozen=True)
 class PolynomialRing(Ring):
-    """Univariate polynomials over a base ring, coefficients low degree first."""
+    """Univariate polynomials over a base ring, coefficients low degree first.
+
+    Over Z, Z/m and GF(p) (depth 1) the coefficients are plain ints, and
+    mul, add and matmul work on them directly with no call per coefficient;
+    a depth-2 ring goes through its base ring's methods.
+    """
 
     base: Ring
     var: str = "x"
@@ -438,6 +498,16 @@ class PolynomialRing(Ring):
             raise ValueError(f"variable must be an identifier, got {self.var!r}")
         if _poly_depth(self) > 2:
             raise ValueError("polynomial nesting is capped at depth 2")
+        # the plain-int coefficient modulus: 0 over Z, m over Z/m and GF(p),
+        # None when the coefficients are polynomials themselves
+        base = self.base
+        if isinstance(base, IntegerRing):
+            modulus = 0
+        elif isinstance(base, _ResidueRing):
+            modulus = base._m
+        else:
+            modulus = None
+        object.__setattr__(self, "_coeff_mod", modulus)
 
     @property
     def zero(self):
@@ -463,11 +533,22 @@ class PolynomialRing(Ring):
     def add(self, a, b):
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        base = self.base
-        for i, c in enumerate(b):
-            out[i] = base.add(out[i], c)
-        return self._strip(out)
+        m = self._coeff_mod
+        if m is None:
+            out = list(a)
+            base = self.base
+            for i, c in enumerate(b):
+                out[i] = base.add(out[i], c)
+            return self._strip(out)
+        _bump(0, len(b))
+        out = list(map(operator.add, a, b))
+        if m:
+            out = [c % m for c in out]
+        if len(a) > len(b):
+            # a's leading coefficient is untouched, so nothing to strip
+            out.extend(a[len(b) :])
+            return tuple(out)
+        return _strip_ints(out)
 
     def neg(self, a):
         return tuple(map(self.base.neg, a))
@@ -475,17 +556,90 @@ class PolynomialRing(Ring):
     def mul(self, a, b):
         if not a or not b:
             return ()
-        base = self.base
-        zero = base.zero
-        out = [zero] * (len(a) + len(b) - 1)
+        m = self._coeff_mod
+        if m is None:
+            base = self.base
+            zero = base.zero
+            out = [zero] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x == zero:
+                    continue
+                for j, y in enumerate(b):
+                    out[i + j] = base.add(out[i + j], base.mul(x, y))
+            # leading coefficients can multiply to zero over rings with zero
+            # divisors, so the product still needs a strip
+            return self._strip(out)
+        # the loop above, one multiply-add per nonzero coefficient of a and
+        # coefficient of b, on plain ints and counted in one bump
+        ops = (len(a) - a.count(0)) * len(b)
+        _bump(ops, ops)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x == zero:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = base.add(out[i + j], base.mul(x, y))
-        # leading coefficients can multiply to zero over rings with zero
-        # divisors, so the product still needs a strip
-        return self._strip(out)
+            if x:
+                j = i
+                for y in b:
+                    out[j] += x * y
+                    j += 1
+        if m:
+            # reduce, then strip: zero divisors can kill the leading term
+            return _strip_ints([c % m for c in out])
+        return tuple(out)
+
+    def matmul(self, a_rows, b_rows):
+        """Rows of the product, at depth 1 by Kronecker substitution.
+
+        Every entry is evaluated at x = X = 2^(8 w), so that each entry of
+        the product is a polynomial C with C(X) = sum_k a_ik(X) b_kj(X), and
+        the integer products come from _packed_fields with one w-byte field
+        per coefficient of C.  Coefficient t of C has at most k * min(la,
+        lb) terms, la and lb the longest entry lengths of a and b: over Z
+        each is at most k min(la, lb) max|a| max|b| in size and the fields
+        hold signed digits, lifted by half a field; over Z/m and GF(p) each
+        is at most k min(la, lb) (m-1)^2, and the digits are reduced mod m
+        and stripped.  Counts the loop's exact multiplications, sum over k of
+        (nonzero coefficients of column k of a) * (coefficients of row k of
+        b), and as many additions (see count_ops).  Depth 2 keeps the base
+        loop, whose inner ring multiplies on plain ints.
+        """
+        m = self._coeff_mod
+        if m is None:
+            return super().matmul(a_rows, b_rows)
+        nonzero = [sum(len(p) - p.count(0) for p in col) for col in zip(*a_rows)]
+        ops = sum(map(operator.mul, nonzero, (sum(map(len, row)) for row in b_rows)))
+        _bump(ops, ops)
+        cols = len(b_rows[0])
+        la = max(map(len, chain.from_iterable(a_rows)))
+        lb = max(map(len, chain.from_iterable(b_rows)))
+        if not (la and lb):
+            return tuple(((),) * cols for _ in a_rows)
+        terms = len(b_rows) * min(la, lb)
+        if m:
+            width = (2 * (m - 1).bit_length() + terms.bit_length() + 7) // 8
+        else:
+            top_a = max(map(abs, chain.from_iterable(chain.from_iterable(a_rows))))
+            top_b = max(map(abs, chain.from_iterable(chain.from_iterable(b_rows))))
+            width = (top_a.bit_length() + top_b.bit_length() + terms.bit_length() + 8) // 8
+        width = _field_format(width)[0]
+        bits = 8 * width
+        shift, offset = (0, 0) if m else (top_b, 1 << (bits - 1))
+
+        def at_x(p):
+            v = 0
+            for c in reversed(p):
+                v = (v << bits) + c
+            return v
+
+        digits = la + lb - 1
+        pad = (0,) * digits
+        b_fields = [list(chain.from_iterable([p + pad[len(p) :] for p in row])) for row in b_rows]
+        a_vals = [list(map(at_x, row)) for row in a_rows]
+        finish = m.__rmod__ if m else offset.__rsub__
+        starts = range(0, digits * cols, digits)
+        out = []
+        for fields in _packed_fields(a_vals, b_fields, width, shift, offset):
+            coeffs = list(map(finish, fields))
+            out.append(tuple([_strip_ints(coeffs[s : s + digits]) for s in starts]))
+        return tuple(out)
 
     def __str__(self):
         return f"{self.base}[{self.var}]"

@@ -113,3 +113,32 @@ def matrix_from_obj_per_entry(obj) -> Matrix:
 def universal_identity_per_b(a: Matrix) -> bool:
     """Reference full-B decision: the residual of every B, one B at a time."""
     return all(verify_identity(a, b).is_zero() for b in iter_all_matrices(a.ring, a.rows))
+
+
+def poly_mul_per_coeff(ring, a, b):
+    """Reference polynomial product: one base-ring mul and add per coefficient
+    pair, skipping zero coefficients of a, then a strip of trailing zeros."""
+    if not a or not b:
+        return ()
+    base = ring.base
+    out = [base.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != base.zero:
+            for j, y in enumerate(b):
+                out[i + j] = base.add(out[i + j], base.mul(x, y))
+    while out and out[-1] == base.zero:
+        out.pop()
+    return tuple(out)
+
+
+def poly_add_per_coeff(ring, a, b):
+    """Reference polynomial sum: one base-ring add per coefficient of the
+    shorter operand, then a strip of trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = ring.base.add(out[i], c)
+    while out and out[-1] == ring.base.zero:
+        out.pop()
+    return tuple(out)

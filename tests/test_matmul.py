@@ -3,15 +3,18 @@
 Ring.matmul on the base class is the reference: the Z, Z/m and GF(p)
 overrides must give the same rows and report the same op counts for every
 shape, on both sides of the size floor below which they fall back to it.
+The polynomial product must give the same rows and multiplication count,
+and as many additions as multiplications.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minortrace import IntegerRing, ModularRing, PrimeFieldRing, count_ops
+from minortrace import IntegerRing, ModularRing, PolynomialRing, PrimeFieldRing, count_ops
 from minortrace import rings
 from minortrace.rings import Ring
 
@@ -142,3 +145,145 @@ def test_integer_mixed_widths():
         b = random_rows(rng, INT, n, n, bound_b)
         assert_matches_loop(INT, a, b)
 
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9])
+def test_packed_native_and_bytes_paths_agree_at_each_width(width, monkeypatch):
+    # fields of 1, 2, 4 and 8 bytes pack and unpack through array and
+    # memoryview; 3 and 5 round up, 9 keeps the bytes path.  Every sum here
+    # reaches a field's ends: 0 and 256^width - 1 unsigned, and +-(half - 1)
+    # lifted by offset = half over Z, B shifted by its largest magnitude
+    if sys.byteorder == "little":
+        assert rings._field_format(width)[0] == {3: 4, 5: 8}.get(width, width)
+    rng = random.Random(width)
+    top = 256**width - 1
+    half = 1 << (8 * width - 1)
+    tb = half - 1
+    n = 5
+    unsigned_a = ((1, 0),) * n
+    unsigned_b = ((0, top, 1, top - 1, top), (0,) * n)
+    signed_a = ((1, 0), (-1, 0), (0, 1), (0, -1), rng.choice(((1, 0), (0, -1))))
+    signed_b = ((tb, -tb, 0, 1, -1), (tb, -tb, tb, -tb, rng.randint(-tb, tb)))
+    cases = [
+        (unsigned_a, unsigned_b, int, 0, 0),
+        (signed_a, signed_b, half.__rsub__, tb, half),
+    ]
+    for a, b, finish, shift, offset in cases:
+        want = Ring.matmul(INT, a, b)
+        native = rings._packed_product(a, b, width, finish, shift, offset)
+        with monkeypatch.context() as patch:
+            patch.setattr(rings, "_WORD_CODES", {})
+            assert rings._field_format(width) == (width, None)
+            wide = rings._packed_product(a, b, width, finish, shift, offset)
+        assert native == wide == want
+    # the extremes are reached: unsigned fields 0 and top, signed entries +-(half - 1)
+    assert {0, top} <= set(Ring.matmul(INT, unsigned_a, unsigned_b)[0])
+    assert max(map(max, want)) == half - 1 and min(map(min, want)) == -(half - 1)
+
+
+# ---------------------------------------------------------------------------
+# Polynomial rings: Kronecker substitution at depth 1, the base loop at depth 2
+
+POLY_RINGS = [
+    PolynomialRing(INT),
+    PolynomialRing(ModularRing(4)),
+    PolynomialRing(PrimeFieldRing(5)),
+    PolynomialRing(ModularRing(12)),
+    PolynomialRing(PolynomialRing(INT, "x"), "y"),
+]
+POLY_IDS = ["Zx", "Z4x", "GF5x", "Z12x", "Zxy"]
+
+
+def poly_entries(ring):
+    base = ring.base
+    if isinstance(base, IntegerRing):
+        coeff = st.one_of(st.integers(-9, 9), st.integers(-(2**100), 2**100))
+    elif isinstance(base, PolynomialRing):
+        coeff = poly_entries(base)
+    else:
+        # zero divisors such as 2 mod 4 and 6 mod 12 come up often
+        coeff = st.integers(0, base._m - 1)
+    return st.lists(st.one_of(st.just(base.zero), coeff), max_size=4).map(ring.canon)
+
+
+def poly_ops(a_rows, b_rows):
+    """The documented count: sum over (i, j, k) of nonzero(a_ik) * len(b_kj)."""
+    return sum(
+        (len(x) - x.count(0)) * len(y)
+        for row in a_rows
+        for k, x in enumerate(row)
+        for y in b_rows[k]
+    )
+
+
+@pytest.mark.parametrize("ring", POLY_RINGS, ids=POLY_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_polynomial_product_matches_loop(ring, data):
+    rows, k, cols = (data.draw(st.integers(1, 5)) for _ in range(3))
+    cell = poly_entries(ring)
+    a = tuple(tuple(data.draw(cell) for _ in range(k)) for _ in range(rows))
+    b = tuple(tuple(data.draw(cell) for _ in range(cols)) for _ in range(k))
+    got, (muls, adds) = counted(ring.matmul, a, b)
+    want, (want_muls, want_adds) = counted(Ring.matmul, ring, a, b)
+    assert got == want
+    assert muls == want_muls
+    if isinstance(ring.base, PolynomialRing):
+        assert adds == want_adds  # depth 2 is the loop itself
+    else:
+        assert muls == adds == poly_ops(a, b)
+
+
+@pytest.mark.parametrize("ring", POLY_RINGS[:4], ids=POLY_IDS[:4])
+def test_polynomial_product_edge_shapes(ring):
+    rng = random.Random(7)
+    m = ring.base._m if isinstance(ring.base, ModularRing | PrimeFieldRing) else None
+
+    def poly(length):
+        coeffs = [rng.randrange(m) if m else rng.randint(-(2**100), 2**100) for _ in range(length)]
+        return ring.canon(coeffs)
+
+    for rows, k, cols in [(1, 6, 1), (6, 1, 6), (1, 6, 6), (6, 6, 1), (1, 1, 1), (3, 4, 5)]:
+        a = tuple(tuple(poly(rng.randint(0, 3)) for _ in range(k)) for _ in range(rows))
+        b = tuple(tuple(poly(rng.randint(0, 3)) for _ in range(cols)) for _ in range(k))
+        zeros = tuple(((),) * k for _ in range(rows))
+        for left, right in ((a, b), (zeros, b), (a, tuple(((),) * cols for _ in range(k)))):
+            got, (muls, adds) = counted(ring.matmul, left, right)
+            want, (want_muls, _) = counted(Ring.matmul, ring, left, right)
+            assert got == want
+            assert muls == want_muls == adds == poly_ops(left, right)
+
+
+@pytest.mark.parametrize(
+    "ring", [PolynomialRing(INT), PolynomialRing(ModularRing(2**67 - 1)), PolynomialRing(ModularRing(4))],
+    ids=["Zx", "Z(2^67-1)x", "Z4x"],
+)
+def test_polynomial_product_extreme_coefficients(ring):
+    # every coefficient at the largest magnitude, so each coefficient of the
+    # product reaches k * min(la, lb) * max|a| * max|b|.  With 67-bit
+    # coefficients that bound sits on a byte boundary, where a field sized
+    # without the min(la, lb) factor would be one byte short
+    m = ring.base._m if isinstance(ring.base, ModularRing) else None
+    top = m - 1 if m else 2**67 - 1
+    signs = [(top, top)] if m else [(top, top), (-top, top), (-top, -top)]
+    for la, lb in ((1, 1), (4, 4), (8, 8), (8, 2), (2, 8)):
+        for k in (1, 3):
+            for x, y in signs:
+                a = (((x,) * la,) * k,)
+                b = (((y,) * lb,),) * k
+                got, (muls, adds) = counted(ring.matmul, a, b)
+                want, (want_muls, _) = counted(Ring.matmul, ring, a, b)
+                assert got == want
+                assert muls == want_muls == adds == k * la * lb
+
+
+def test_polynomial_product_strips_vanished_leading_terms():
+    # (2x)(2x) = 4x^2 = 0 over Z/4, and 2x^2 * 2 + 2x * 2x = 8x^2 = 0 too
+    ring = PolynomialRing(ModularRing(4))
+    assert ring.matmul((((0, 2),),), (((0, 2),),)) == (((),),)
+    assert ring.matmul((((0, 0, 2), (0, 2)),), (((2,),), ((0, 2),))) == (((),),)
+    # over Z/12: (1 + 6x)(2x) = 2x + 12x^2 = 2x; over Z, sums cancel to zero
+    assert PolynomialRing(ModularRing(12)).matmul((((1, 6),),), (((0, 2),),)) == (((0, 2),),)
+    zx = PolynomialRing(INT)
+    assert zx.matmul((((1, 1), (1, -1)),), (((1, -1),), ((-1, -1),))) == (((),),)
+    assert zx.matmul((((0, 1), (0, -1)),), (((2**100, 3),), ((2**100, 3),))) == (((),),)

@@ -13,7 +13,7 @@ from minortrace import (
     count_ops,
     is_prime,
 )
-from support import GF5, INT, MOD4, POLY_INT, raw_values
+from support import GF5, INT, MOD4, POLY_INT, poly_add_per_coeff, poly_mul_per_coeff, raw_values
 
 
 def test_add_examples():
@@ -149,3 +149,27 @@ def test_poly_zero_divisor_product_strips_leading_zero():
     ring = PolynomialRing(MOD4)
     two_x = ring.elem([0, 2])
     assert (two_x * two_x).value == ()  # 4x^2 = 0 over Z/4
+    z12 = PolynomialRing(ModularRing(12))
+    assert z12.mul((1, 6), (0, 2)) == (0, 2)  # 12x^2 = 0
+    assert z12.mul((0, 4), (3, 3)) == ()  # 12x + 12x^2 = 0
+    assert z12.add((1, 2, 5), (0, 1, 7)) == (1, 3)
+    assert z12.add((1, 2, 5), (11,)) == (0, 2, 5)
+
+
+@pytest.mark.parametrize("base", [INT, MOD4, GF5], ids=["int", "mod4", "gf5"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_poly_mul_and_add_match_the_per_coefficient_reference(base, data):
+    # values and op counts: the plain-int loops count what the per-coefficient
+    # reference does, one bump per call
+    ring = PolynomialRing(base)
+    coeff = st.integers(-2**70, 2**70) if base is INT else st.integers(0, base._m - 1)
+    polys = st.lists(st.one_of(st.just(0), coeff), max_size=5).map(ring.canon)
+    a, b = data.draw(polys), data.draw(polys)
+    for fast, ref in ((ring.mul, poly_mul_per_coeff), (ring.add, poly_add_per_coeff)):
+        with count_ops() as got:
+            value = fast(a, b)
+        with count_ops() as want:
+            expected = ref(ring, a, b)
+        assert value == expected
+        assert (got.mul, got.add) == (want.mul, want.add)
