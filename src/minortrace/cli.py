@@ -28,15 +28,17 @@ from .kernels import (
 from .matrices import Matrix, MatrixError
 from .oracle import TooLargeToEnumerate, exhaustive_characterization, verify_identity
 from .probe import ProbeReport, probe_converse, probe_witness
-from .rings import RingError
+from .rings import PolynomialRing, RingError
 from .serialize import (
     SerializeError,
     bench_result_to_obj,
+    canon_rows,
     dumps,
     equivalence_report_to_obj,
     factors_to_obj,
     loads,
     matrix_from_obj,
+    matrix_rows_from_obj,
     matrix_to_obj,
     output_bits_over_limit,
     parse_ring_spec,
@@ -46,6 +48,7 @@ from .serialize import (
 from .structure import (
     MinorWitness,
     NoNilpotentScalar,
+    StructureVerdict,
     check_vanishing_minors,
     decompose,
     gen_structured,
@@ -70,13 +73,38 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_matrix(path: str) -> Matrix:
+def _read(path: str) -> str:
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return matrix_from_obj(loads(text))
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _load_matrix(path: str) -> Matrix:
+    return matrix_from_obj(loads(_read(path)))
+
+
+def _load_deciding_head(path: str, square: bool) -> tuple[Matrix, StructureVerdict | None]:
+    """The matrix in path, with its verdict when rows 1-2 already decide it.
+
+    Every row is checked first, so a bad entry or a shape error anywhere
+    is still the error reported.  Over an integer-like ring (on a square
+    matrix, if square is set), rows 1-2 are then checked alone; with one
+    row or one column they are vacuously structured.  A nonzero minor
+    there is the first witness of the whole matrix (see
+    check_vanishing_minors), so that verdict comes back with the 2-row
+    matrix and no other row is converted; the probe witness reads only the
+    minor's two rows.  Otherwise the rest is converted, rows 1-2 kept, and
+    the verdict is None.
+    """
+    ring, rows = matrix_rows_from_obj(loads(_read(path)))
+    if isinstance(ring, PolynomialRing) or square and len(rows) != len(rows[0]):
+        return Matrix(ring, canon_rows(ring, rows)), None
+    head = Matrix(ring, canon_rows(ring, rows[:2]))
+    verdict = check_vanishing_minors(head)
+    if not verdict.structured:
+        return head, verdict
+    return Matrix(ring, head.data + canon_rows(ring, rows[2:])), None
 
 
 def _emit_precondition_witness(a: Matrix, witness: MinorWitness) -> int:
@@ -90,8 +118,9 @@ def _emit_precondition_witness(a: Matrix, witness: MinorWitness) -> int:
 
 
 def _cmd_check(args) -> int:
-    a = _load_matrix(args.matrix)
-    verdict = check_vanishing_minors(a)
+    a, verdict = _load_deciding_head(args.matrix, square=False)
+    if verdict is None:
+        verdict = check_vanishing_minors(a)
     _emit(verdict_to_obj(a.ring, verdict))
     if verdict.structured:
         _note("structured: all 2x2 minors vanish")
@@ -144,8 +173,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    a = _load_matrix(args.matrix)
-    report = probe_converse(a)
+    a, verdict = _load_deciding_head(args.matrix, square=True)
+    if verdict is None:
+        report = probe_converse(a)
+    else:
+        report = ProbeReport(structured=False, witness=probe_witness(a, verdict.witness))
     _emit(probe_report_to_obj(a.ring, report))
     if report.structured:
         _note("structured: no probe breaks the identity")

@@ -17,10 +17,13 @@ are arrays of base-ring elements, lowest degree first.  A matrix is
 specs too, are JSON integers or plain decimal strings: ASCII digits after
 an optional minus, with no plus, space or underscore.
 
-Matrices of integer-like elements are decoded and emitted a row at a time,
-each row in one pass where it can be; a row that fails the pass is redone
-entry by entry, so errors read as the per-entry decode gives them, and a
-bad entry anywhere wins over a shape error.
+A matrix is decoded in two steps.  First every row is checked:
+matrix_rows_from_obj checks a row of integer-like elements in a few passes
+over the joined row and leaves it unconverted; a row that fails the pass
+is redone entry by entry, so errors read as the per-entry decode gives
+them, and a bad entry anywhere wins over a shape error.  Then canon_rows
+converts the rows asked for; matrix_from_obj asks for all of them.
+Matrices are emitted a row at a time.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ def elem_to_obj(ring: Ring, value):
 
 
 def elem_from_obj(ring: Ring, obj):
-    """Decode one element into raw form; Matrix.from_rows canonicalizes it."""
+    """Decode one element into raw form; canon_rows canonicalizes it."""
     if isinstance(ring, PolynomialRing):
         if not isinstance(obj, list):
             raise SerializeError(f"polynomial element expects an array, got {obj!r}")
@@ -187,31 +190,69 @@ def matrix_to_obj(m: Matrix) -> dict:
     return {"ring": ring_to_obj(ring), "rows": rows}
 
 
-def _int_row_from_obj(row: list) -> list:
-    """One row of integer elements, as elem_from_obj decodes each entry.
+def _decimal_row(row: list) -> bool:
+    """Whether every entry of a row is a string _parse_int takes, in a few passes.
 
-    A row of strings whose concatenation is ASCII digits and minus signs
-    goes through int() in one pass; int() itself refuses a misplaced or
-    lone minus and an empty string.  A row of JSON integers (not bools) is
-    taken as it is.  Any other row, and a row int() refuses, is decoded
-    entry by entry, so every error keeps its message.
+    An entry passes when it is ASCII digits after at most one minus sign,
+    with at most the int/str digit limit of digits: on a nonempty row of
+    digits, minus signs and empty strings, exactly when
+    list(map(int, row)) succeeds.  The passes run over the joined row, not
+    entry by entry.
     """
     try:
         joined = "".join(row)
     except TypeError:  # not all strings
-        if all_ints(row):
-            return row
-    else:
-        # bytes.isdigit accepts exactly 0-9 and is faster than str.isdigit
-        if joined.isascii() and joined.encode().replace(b"-", b"").isdigit():
-            try:
-                return list(map(int, row))
-            except ValueError:
-                pass
+        return False
+    if not joined.isascii():
+        return False
+    digits = joined.encode().replace(b"-", b"")
+    # bytes.isdigit accepts exactly 0-9 and is false on b""
+    if not (digits.isdigit() and all(row)):
+        return False
+    if len(digits) < len(joined):
+        # every minus sign leads its entry, and no entry is a lone minus
+        marked = f",{','.join(row)},"
+        if marked.count(",-") != len(joined) - len(digits) or ",-," in marked:
+            return False
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit and max(map(len, row)) > limit:
+        # only a minus sign may take an entry one past the limit
+        return all(len(x) - (x[0] == "-") <= limit for x in row)
+    return True
+
+
+def _checked_int_row(row: list) -> list:
+    """A row of integer elements, checked but not converted.
+
+    A row of JSON integers (not bools) or of decimal strings comes back as
+    it is.  Any other row is decoded entry by entry through _parse_int, so
+    a bad entry raises with its own message, and a valid mixed row comes
+    back as ints.
+    """
+    if all_ints(row) or _decimal_row(row):
+        return row
     return [_parse_int(x, "element") for x in row]
 
 
-def matrix_from_obj(obj) -> Matrix:
+def _check_shape(rows: list) -> None:
+    if not rows:
+        raise ShapeMismatch("matrix needs at least one row")
+    width = len(rows[0])
+    for row in rows:
+        if not row:
+            raise ShapeMismatch("matrix needs at least one column")
+        if len(row) != width:
+            raise ShapeMismatch("ragged rows")
+
+
+def matrix_rows_from_obj(obj) -> tuple[Ring, list]:
+    """The ring and the rows of a matrix object, every row checked.
+
+    Errors come in the order of the per-entry decode: the ring, then the
+    first bad entry in row order, then the shape.  Integer-like rows are
+    not converted (canon_rows does that); polynomial rows come back
+    decoded into raw form.
+    """
     if not isinstance(obj, dict) or "ring" not in obj or "rows" not in obj:
         raise SerializeError('matrix object needs "ring" and "rows"')
     ring = ring_from_obj(obj["ring"])
@@ -219,18 +260,22 @@ def matrix_from_obj(obj) -> Matrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise SerializeError('"rows" must be an array of arrays')
     if isinstance(ring, PolynomialRing):
-        decoded = ([elem_from_obj(ring, x) for x in r] for r in rows)
+        rows = [[elem_from_obj(ring, x) for x in r] for r in rows]
     else:
-        decoded = map(_int_row_from_obj, rows)
-    # the rows are decoded as from_rows takes them, so no second copy of
-    # the whole matrix is alive at once
-    try:
-        return Matrix.from_rows(ring, decoded)
-    except ShapeMismatch:
-        # a bad entry in a later row wins over a shape error
-        for _ in decoded:
-            pass
-        raise
+        rows = list(map(_checked_int_row, rows))
+    _check_shape(rows)
+    return ring, rows
+
+
+def canon_rows(ring: Ring, rows) -> tuple:
+    """Canonical rows, for Matrix(ring, ...), of rows from matrix_rows_from_obj."""
+    canon_row = ring.canon_row
+    return tuple([canon_row(list(map(int, r)) if type(r[0]) is str else r) for r in rows])
+
+
+def matrix_from_obj(obj) -> Matrix:
+    ring, rows = matrix_rows_from_obj(obj)
+    return Matrix(ring, canon_rows(ring, rows))
 
 
 def output_bits_over_limit(bits: int) -> SerializeError | None:

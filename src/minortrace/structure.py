@@ -79,6 +79,12 @@ def check_vanishing_minors(a: Matrix) -> StructureVerdict:
     first one as the witness) or could not decide.
     Rectangular matrices are allowed, and a single row or column (or a 1x1
     matrix) is vacuously structured.
+
+    The witness is the first nonzero minor in lexicographic order of
+    (i, j, k, l), and every minor in rows (0, 1) comes before every other.
+    So when rows 0-1 alone hold a nonzero minor, the witness found on
+    those two rows is the witness of any matrix that begins with them;
+    the CLI decides check and probe that way without converting the rest.
     """
     if _certify(a):
         return StructureVerdict(structured=True, witness=None)

@@ -19,7 +19,19 @@ from minortrace import (
     iter_all_matrices,
     verify_identity,
 )
-from minortrace.serialize import SerializeError, _parse_int, elem_from_obj, ring_from_obj
+from minortrace.cli import _INPUT_ERRORS
+from minortrace.probe import probe_converse
+from minortrace.serialize import (
+    SerializeError,
+    _parse_int,
+    dumps,
+    elem_from_obj,
+    loads,
+    probe_report_to_obj,
+    ring_from_obj,
+    verdict_to_obj,
+)
+from minortrace.structure import check_vanishing_minors
 
 INT = IntegerRing()
 MOD4 = ModularRing(4)
@@ -108,6 +120,37 @@ def matrix_from_obj_per_entry(obj) -> Matrix:
         if len(r) != len(decoded[0]):
             raise ShapeMismatch("ragged rows")
     return Matrix(ring, tuple(map(tuple, decoded)))
+
+
+def check_or_probe_full_decode(command: str, text: str) -> tuple[int, str, str]:
+    """Reference `check` / `probe` on a matrix file's text: (exit code, stdout,
+    stderr).  The whole file is decoded entry by entry, and the whole matrix
+    is decided, before anything is printed."""
+    try:
+        a = matrix_from_obj_per_entry(loads(text))
+        if command == "check":
+            verdict = check_vanishing_minors(a)
+            out = verdict_to_obj(a.ring, verdict)
+            if verdict.structured:
+                code, note = 0, "structured: all 2x2 minors vanish"
+            else:
+                idx = verdict.witness.index
+                code = 1
+                note = (f"nonzero minor at rows ({idx.i + 1},{idx.j + 1}) "
+                        f"cols ({idx.k + 1},{idx.l + 1})")
+        else:
+            report = probe_converse(a)
+            out = probe_report_to_obj(a.ring, report)
+            if report.structured:
+                code, note = 0, "structured: no probe breaks the identity"
+            else:
+                w = report.witness
+                code = 1
+                note = (f"probe with unit at ({w.unit_row + 1},{w.unit_col + 1}) breaks "
+                        f"the identity at entry ({w.entry_row + 1},{w.entry_col + 1})")
+    except _INPUT_ERRORS as exc:
+        return 2, "", f"error: {exc}\n"
+    return code, dumps(out) + "\n", note + "\n"
 
 
 def universal_identity_per_b(a: Matrix) -> bool:

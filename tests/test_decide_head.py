@@ -1,0 +1,111 @@
+"""check and probe decide from rows 1-2 when a minor there is nonzero.
+
+The rest of the file is still checked, so every answer, error and exit
+code must equal that of decoding the whole file first
+(support.check_or_probe_full_decode), and only the rows that decide are
+converted.
+"""
+
+import contextlib
+import io
+import json
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from minortrace import ModularRing, gen_structured, random_matrix
+from minortrace.cli import main
+from minortrace.rings import _ResidueRing
+from minortrace.serialize import dumps, matrix_to_obj
+from support import check_or_probe_full_decode
+
+RING_OBJS = [
+    {"kind": "int"},
+    {"kind": "mod", "modulus": "12"},
+    {"kind": "mod", "modulus": str(2**61 - 1)},
+    {"kind": "gf", "p": "65537"},
+]
+BAD_ENTRIES = [
+    "1-2", "-", "", "--1", "1_0", " 7", "+5", "\u0665", True, 1.5, None, ["1"],
+    "9" * 4301, "-" + "9" * 4301,
+]
+values = st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64))
+spelled = st.one_of(values.map(str), values)  # a decimal string or a JSON number
+
+
+@st.composite
+def head_first_objs(draw):
+    """A random head, then later rows that may hold a bad entry or a shape error."""
+    width = draw(st.integers(1, 5))
+    height = width if draw(st.booleans()) else draw(st.integers(1, 6))
+    rows = [draw(st.lists(spelled, min_size=width, max_size=width)) for _ in range(height)]
+    if len(rows) >= 2 and draw(st.booleans()):
+        # row 2 a multiple of row 1: the minors of rows 1-2 vanish
+        t = draw(st.integers(-3, 3))
+        rows[1] = [str(t * int(x)) for x in rows[0]]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        r = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["entry", "short", "long", "empty"]))
+        if fault == "entry" and rows[r]:
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(st.sampled_from(BAD_ENTRIES))
+        elif fault == "short":
+            rows[r] = rows[r][:-1]
+        elif fault == "long":
+            rows[r] = rows[r] + ["1"]
+        else:
+            rows[r] = []
+    return {"ring": draw(st.sampled_from(RING_OBJS)), "rows": rows}
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(obj=head_first_objs())
+def test_check_and_probe_match_the_full_decode(tmp_path_factory, obj):
+    text = json.dumps(obj)
+    path = tmp_path_factory.getbasetemp() / "head_first.json"
+    path.write_text(text)
+    for command in ("check", "probe"):
+        assert run_main([command, str(path)]) == check_or_probe_full_decode(command, text)
+
+
+@pytest.fixture
+def converted(monkeypatch):
+    """Every row Ring.canon_row converts over Z/m and GF(p), in order."""
+    rows = []
+    canon_row = _ResidueRing.canon_row
+
+    def counting(self, row):
+        rows.append(tuple(row))
+        return canon_row(self, row)
+
+    monkeypatch.setattr(_ResidueRing, "canon_row", counting)
+    return rows
+
+
+@pytest.mark.parametrize("command", ["check", "probe"])
+def test_a_witness_in_rows_1_2_converts_only_those_rows(tmp_path, converted, command):
+    a = random_matrix(random.Random(11), ModularRing(2**61 - 1), 256, 256)
+    path = tmp_path / "random.json"
+    path.write_text(dumps(matrix_to_obj(a)))
+    code, _, _ = run_main([command, str(path)])
+    assert code == 1
+    assert converted == list(a.data[:2])
+
+
+@pytest.mark.parametrize("command", ["check", "probe"])
+def test_a_structured_matrix_converts_every_row_once(tmp_path, converted, command):
+    a = gen_structured(11, ModularRing(2**61 - 1), 256)
+    path = tmp_path / "structured.json"
+    path.write_text(dumps(matrix_to_obj(a)))
+    code, _, _ = run_main([command, str(path)])
+    assert code == 0
+    assert converted == list(a.data)

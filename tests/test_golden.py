@@ -5,7 +5,9 @@ through its argument errors, since its timings vary) on fixed inputs: nine
 rings, orders 1 to 32, outer-product, random, zero, almost-structured and
 nilpotent-scalar matrices, non-canonical encodings and malformed files,
 among them files whose shape error comes before a bad entry (the entry's
-error is the one reported).
+error is the one reported), and files whose rows 1-2 hold a nonzero minor
+ahead of a bad entry, a shape error or a non-canonical spelling in a later
+row.
 
 The inputs are built here from seeded pure-Python arithmetic, independent
 of the library; the expected results live in golden_cli.json.  Stdout
@@ -145,6 +147,7 @@ def build_inputs() -> dict[str, str]:
                 files[f"{tag}_nil_{n}.json"] = _matrix_text(ring_obj, enc(nil))
     files.update(_malformed_inputs())
     files.update(_error_order_inputs())
+    files.update(_head_first_inputs())
     return files
 
 
@@ -224,6 +227,67 @@ def _error_order_inputs() -> dict[str, str]:
         "order_gf_ragged_then_true.json": _matrix_text(gf, [["1", "2"], ["3", "4", "5"], [True]]),
         "order_poly_ragged_then_bad.json": _matrix_text(poly_int, [[["1"], ["2"]], [["3"]], ["4"]]),
     }
+
+
+# later-row spellings that the per-entry decode refuses, each after a
+# nonzero minor in rows 1-2; the last is one digit past the default limit
+HEAD_BAD_ENTRIES = {
+    "minus_inside": "1-2",
+    "lone_minus": "-",
+    "empty": "",
+    "double_minus": "--1",
+    "underscore": "1_0",
+    "space": " 7",
+    "long": "9" * 4301,
+    "true": True,
+    "float": 1.5,
+    "null": None,
+    "nested": ["1"],
+}
+HEAD_RINGS = ("int", "mod12", "modbig", "gf65537")
+
+
+def _head_first_inputs() -> dict[str, str]:
+    """Files whose rows 1-2 may settle check and probe, with later rows that
+    must still be read: bad entries, shape errors, non-canonical spellings."""
+    files: dict[str, str] = {}
+    for tag in HEAD_RINGS:
+        _, ring_obj, modulus, _ = RINGS[tag]
+        rng = random.Random(f"head:{tag}")
+        n = 4
+        first = [rng.randint(1, 9) for _ in range(n)]
+        # row 2 is twice row 1 but for its last entry: the first nonzero
+        # minor is in columns 1 and n, with value first[0]
+        head = [first, [2 * x for x in first[:-1]] + [2 * first[-1] + 1]]
+
+        def later(count, width=n):
+            return [[rng.randint(-9, 9) for _ in range(width)] for _ in range(count)]
+
+        def put(name, rows, spell=str, at=None, value=None):
+            spelled = [[spell(x) for x in r] for r in rows]
+            if at is not None:
+                spelled[at[0]][at[1]] = value
+            files[f"head_{tag}_{name}.json"] = _matrix_text(ring_obj, spelled)
+
+        rows = head + later(n - 2)
+        for name, bad in HEAD_BAD_ENTRIES.items():
+            put(name, rows, at=(3, 1), value=bad)
+        put("long_negative", rows, at=(2, 0), value="-" + "9" * 4300)  # at the limit: valid
+        put("ragged", rows[:3] + [rows[3][:-1]])
+        put("empty_row", rows[:3] + [[]])
+        put("numbers", rows, spell=lambda x: x)
+        top = modulus or 10**20
+        put("unreduced", head + [[x + rng.choice((-2, -1, 1, 2)) * top for x in r] for r in rows[2:]])
+        put("wide", [r + [5] for r in rows])
+        put("tall", rows + later(1))
+        put("two_rows", head)
+        prop = [[c * r for r in (1, 2, 3, 4)] for c in (1, 2, -3, 5)]
+        put("proportional", prop)
+        late = [list(r) for r in prop]
+        late[3][2] += 1  # the only nonzero minors are in row 4
+        put("proportional_late", late)
+        put("proportional_bad", prop, at=(3, 3), value="1-2")
+    return files
 
 
 def build_calls() -> list[tuple[list[str], str | None]]:
@@ -330,6 +394,10 @@ def build_calls() -> list[tuple[list[str], str | None]]:
         add("check", name)
         add("verify", "ok_int_numbers.json", name, "--fast")
         add("power", name, "2")
+        add("check", "-", stdin=name)
+    for name in _head_first_inputs():  # appended after the error-order calls
+        add("check", name)
+        add("probe", name)
         add("check", "-", stdin=name)
     return calls
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -17,6 +18,7 @@ from minortrace import (
 )
 from minortrace.serialize import (
     SerializeError,
+    _checked_int_row,
     dumps,
     loads,
     matrix_from_obj,
@@ -231,3 +233,42 @@ def test_decode_peak_memory_is_about_the_matrix_it_returns(spec):
     assert got == want
     # the rows stream into the matrix: no decoded copy of the whole matrix
     assert peak <= 1.1 * size
+
+
+def _int_takes(row) -> bool:
+    try:
+        list(map(int, row))
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+def test_row_check_takes_exactly_the_rows_int_takes(limit):
+    """Over rows of digits, minus signs and empty strings, the row check
+    passes a row unconverted exactly when int() takes every entry; the rest
+    go entry by entry and raise.  Long entries sit around the digit limit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        around = limit or 4300
+        short = st.text(alphabet="-0123456789", max_size=5)
+        long = st.builds(
+            lambda head, k: head + "7" * k,
+            st.sampled_from(["", "-", "--", "7-", "-0"]),
+            st.integers(around - 2, around + 1),
+        )
+        rows = st.lists(st.one_of(short, short, long), max_size=5)
+
+        @given(row=rows)
+        @settings(max_examples=300, deadline=None)
+        def check(row):
+            try:
+                passed = _checked_int_row(row) is row
+            except SerializeError:
+                passed = False
+            assert passed == _int_takes(row)
+
+        check()
+    finally:
+        sys.set_int_max_str_digits(saved)
