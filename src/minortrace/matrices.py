@@ -42,6 +42,18 @@ class IndexOutOfRange(MatrixError):
     """Row or column index outside the matrix."""
 
 
+def check_shape(rows) -> None:
+    """Raise ShapeMismatch unless rows is a nonempty sequence of nonempty rows of one width."""
+    if not rows:
+        raise ShapeMismatch("matrix needs at least one row")
+    width = len(rows[0])
+    for row in rows:
+        if not row:
+            raise ShapeMismatch("matrix needs at least one column")
+        if len(row) != width:
+            raise ShapeMismatch("ragged rows")
+
+
 @dataclass(frozen=True)
 class MinorIndex:
     """Rows i < j and columns k < l selecting a 2x2 submatrix (0-based)."""
@@ -72,28 +84,18 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, ring: Ring, rows) -> "Matrix":
-        """Build a matrix, canonicalizing raw values and checking shape.
+        """Build a matrix, canonicalizing raw values and then checking shape.
 
         rows is an iterable of iterables, consumed one row at a time.
-        Entries are raw values or RingElems over ring.
+        Entries are raw values or RingElems over ring.  Every row is
+        canonicalized before the shape is checked, so a bad entry anywhere
+        wins over a shape error.
         """
-        data = []
-        width = None
         canon_row = ring.canon_row
-        for row in rows:
-            if not isinstance(row, (list, tuple)):
-                row = tuple(row)  # canon_row may read a row twice
-            vals = canon_row(row)
-            if not vals:
-                raise ShapeMismatch("matrix needs at least one column")
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ShapeMismatch("ragged rows")
-            data.append(vals)
-        if not data:
-            raise ShapeMismatch("matrix needs at least one row")
-        return cls(ring, tuple(data))
+        # canon_row may read a row twice
+        data = tuple(canon_row(r if isinstance(r, (list, tuple)) else tuple(r)) for r in rows)
+        check_shape(data)
+        return cls(ring, data)
 
     @classmethod
     def zero(cls, ring: Ring, rows: int, cols: int) -> "Matrix":

@@ -473,8 +473,8 @@ def _poly_depth(ring: Ring) -> int:
     return depth
 
 
-def _strip_ints(coeffs) -> tuple:
-    """A coefficient list of plain ints as a tuple, trailing zeros dropped."""
+def _strip(coeffs) -> tuple:
+    """A coefficient list as a tuple, trailing zeros (0 or ()) dropped."""
     n = len(coeffs)
     while n and not coeffs[n - 1]:
         n -= 1
@@ -517,18 +517,11 @@ class PolynomialRing(Ring):
     def one(self):
         return (self.base.one,)
 
-    def _strip(self, coeffs: list) -> tuple:
-        zero = self.base.zero
-        n = len(coeffs)
-        while n and coeffs[n - 1] == zero:
-            n -= 1
-        return tuple(coeffs[:n])
-
     def canon(self, value):
         if isinstance(value, (list, tuple)):
-            return self._strip([self.base.canon(c) for c in value])
+            return _strip([self.base.canon(c) for c in value])
         # scalars lift to constant polynomials
-        return self._strip([self.base.canon(value)])
+        return _strip([self.base.canon(value)])
 
     def add(self, a, b):
         if len(a) < len(b):
@@ -539,7 +532,7 @@ class PolynomialRing(Ring):
             base = self.base
             for i, c in enumerate(b):
                 out[i] = base.add(out[i], c)
-            return self._strip(out)
+            return _strip(out)
         _bump(0, len(b))
         out = list(map(operator.add, a, b))
         if m:
@@ -548,7 +541,7 @@ class PolynomialRing(Ring):
             # a's leading coefficient is untouched, so nothing to strip
             out.extend(a[len(b) :])
             return tuple(out)
-        return _strip_ints(out)
+        return _strip(out)
 
     def neg(self, a):
         return tuple(map(self.base.neg, a))
@@ -568,7 +561,7 @@ class PolynomialRing(Ring):
                     out[i + j] = base.add(out[i + j], base.mul(x, y))
             # leading coefficients can multiply to zero over rings with zero
             # divisors, so the product still needs a strip
-            return self._strip(out)
+            return _strip(out)
         # the loop above, one multiply-add per nonzero coefficient of a and
         # coefficient of b, on plain ints and counted in one bump
         ops = (len(a) - a.count(0)) * len(b)
@@ -582,7 +575,7 @@ class PolynomialRing(Ring):
                     j += 1
         if m:
             # reduce, then strip: zero divisors can kill the leading term
-            return _strip_ints([c % m for c in out])
+            return _strip([c % m for c in out])
         return tuple(out)
 
     def matmul(self, a_rows, b_rows):
@@ -638,7 +631,7 @@ class PolynomialRing(Ring):
         out = []
         for fields in _packed_fields(a_vals, b_fields, width, shift, offset):
             coeffs = list(map(finish, fields))
-            out.append(tuple([_strip_ints(coeffs[s : s + digits]) for s in starts]))
+            out.append(tuple([_strip(coeffs[s : s + digits]) for s in starts]))
         return tuple(out)
 
     def __str__(self):

@@ -33,7 +33,7 @@ import math
 import sys
 
 from .bench import BenchResult
-from .matrices import Matrix, ShapeMismatch
+from .matrices import Matrix, check_shape
 from .probe import ProbeReport
 from .oracle import EquivalenceReport
 from .rings import (
@@ -234,17 +234,6 @@ def _checked_int_row(row: list) -> list:
     return [_parse_int(x, "element") for x in row]
 
 
-def _check_shape(rows: list) -> None:
-    if not rows:
-        raise ShapeMismatch("matrix needs at least one row")
-    width = len(rows[0])
-    for row in rows:
-        if not row:
-            raise ShapeMismatch("matrix needs at least one column")
-        if len(row) != width:
-            raise ShapeMismatch("ragged rows")
-
-
 def matrix_rows_from_obj(obj) -> tuple[Ring, list]:
     """The ring and the rows of a matrix object, every row checked.
 
@@ -263,7 +252,7 @@ def matrix_rows_from_obj(obj) -> tuple[Ring, list]:
         rows = [[elem_from_obj(ring, x) for x in r] for r in rows]
     else:
         rows = list(map(_checked_int_row, rows))
-    _check_shape(rows)
+    check_shape(rows)
     return ring, rows
 
 

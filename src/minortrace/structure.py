@@ -73,10 +73,9 @@ class OuterFactors:
 def check_vanishing_minors(a: Matrix) -> StructureVerdict:
     """Decide whether all 2x2 minors vanish; report the first nonzero one if not.
 
-    A yes answer is settled by the O(n^2) pivot certificate alone, except
-    over Z/m[x] when every entry is a zero divisor.  The lexicographic scan
-    runs only after the certificate has found a nonzero minor (to name the
-    first one as the witness) or could not decide.
+    The O(n^2) pivot certificate settles every yes answer, over every ring
+    family.  The lexicographic scan runs only after the certificate has
+    found a nonzero minor, to name the first one as the witness.
     Rectangular matrices are allowed, and a single row or column (or a 1x1
     matrix) is vacuously structured.
 
@@ -125,65 +124,81 @@ def _scan_minors(a: Matrix) -> StructureVerdict:
 
 
 def _certify(a: Matrix) -> bool:
-    """True when every 2x2 minor of a is proven zero, in O(n^2) operations.
+    """True exactly when every 2x2 minor of a vanishes, in O(n^2) operations.
 
-    False means a nonzero minor exists, or (over Z/m[x] only) no entry is a
-    usable pivot; either way the scan has the last word.
+    The content of an entry is the entry itself over Z, Z/m and GF(p), and
+    the gcd of m and its coefficients over their polynomial rings.  By
+    McCoy's theorem an entry is a zero divisor exactly when its content
+    shares a factor with the ground modulus m, so the pivot is the first
+    entry whose content is coprime to m (the first nonzero entry over Z and
+    Z[x]).  Without one, either all contents share a factor g of m, and
+    A = g A' reduces the question to A' over Z/(m / gcd(g^2, m)); or some
+    content's gcd with m splits m into two coprime parts, and the question
+    splits with it (CRT).  Neither step factors m.
     """
     if a.rows < 2 or a.cols < 2:
         return True
-    ring = a.ring
-    if isinstance(ring, IntegerRing):
-        return _certify_residues(a.data, None)
-    if isinstance(ring, _ResidueRing):
-        return _certify_residues(a.data, ring._m)
-    if isinstance(ring, PolynomialRing):
-        return _certify_polynomials(a.data, ring)
-    return False
-
-
-def _certify_residues(rows, m: int | None) -> bool:
-    """The certificate over Z (m is None) or Z/m, on raw integer entries.
-
-    The pivot is the first nonzero entry over Z and the first unit over
-    Z/m.  Without a unit, either all entries share a factor g of m, and
-    A = g A' reduces the question to A' over Z/(m / gcd(g^2, m)); or some
-    entry's gcd with m splits m into two coprime parts, and the question
-    splits with it (CRT).  Neither step factors m.
-    """
-    for p, row in enumerate(rows):
+    rows, ring = a.data, a.ring
+    ground, depth = ring, 0
+    while isinstance(ground, PolynomialRing):
+        ground, depth = ground.base, depth + 1
+    m = ground._m if isinstance(ground, _ResidueRing) else 0
+    contents = rows
+    if depth and m:
+        flat = chain.from_iterable if depth == 2 else iter
+        contents = [[gcd(m, *flat(x)) for x in row] for row in rows]
+    for p, row in enumerate(contents):
         for q, x in enumerate(row):
-            if x and (m is None or gcd(x, m) == 1):
-                return _pivot_sweep(rows, p, q, m)
-    if m is None:
+            if x and (not m or gcd(x, m) == 1):
+                return _pivot_sweep(rows, p, q, ring)
+    if not m:
         return True  # the zero matrix
-    g = gcd(m, *chain.from_iterable(rows))
+    g = gcd(m, *chain.from_iterable(contents))
     if g > 1:
         m2 = m // gcd(g * g, m)
-        return m2 == 1 or _certify_residues(_reduce(rows, g, m2), m2)
-    # no unit and no common factor: every nonzero entry shares some prime
-    # with m, and some entry misses a prime of m (else rad(m) would divide g)
-    for x in chain.from_iterable(rows):
+        return m2 == 1 or _certify(_reduce(rows, g, ring, m2))
+    # no regular entry and no common factor: every content shares some
+    # prime with m, and some content misses a prime of m (else rad(m) would
+    # divide g)
+    for x in chain.from_iterable(contents):
         d = gcd(m, x)
         rest = m  # the largest divisor of m coprime to d
         while (t := gcd(rest, d)) > 1:
             rest //= t
         if 1 < rest < m:
-            part = m // rest
-            return _certify_residues(_reduce(rows, 1, part), part) and _certify_residues(
-                _reduce(rows, 1, rest), rest
-            )
-    raise AssertionError("unreachable: some entry splits the modulus")
+            return all(_certify(_reduce(rows, 1, ring, k)) for k in (m // rest, rest))
+    raise AssertionError("unreachable: some content splits the modulus")
 
 
-def _reduce(rows, g: int, m: int) -> list:
-    return [[x // g % m for x in row] for row in rows]
+def _over(ring: Ring, m: int) -> Ring:
+    """ring with its ground ring replaced by Z/m."""
+    if isinstance(ring, PolynomialRing):
+        return PolynomialRing(_over(ring.base, m), ring.var)
+    return ModularRing(m)
 
 
-def _pivot_sweep(rows, p: int, q: int, m: int | None) -> bool:
-    """Check a[i][j] * c == a[i][q] * a[p][j] for c = a[p][q], row by row."""
+def _reduce(rows, g: int, ring: Ring, m: int) -> Matrix:
+    """The rows divided by g, coefficient by coefficient, over ring on Z/m."""
+    ring = _over(ring, m)
+    return Matrix(ring, tuple(ring.canon_row(_divide(row, g)) for row in rows))
+
+
+def _divide(values, g: int) -> list:
+    return [x // g if isinstance(x, int) else _divide(x, g) for x in values]
+
+
+def _pivot_sweep(rows, p: int, q: int, ring: Ring) -> bool:
+    """Check a[i][j] * c == a[i][q] * a[p][j] for c = a[p][q], row by row.
+
+    Over Z, Z/m and GF(p) on plain ints, counted in bulk; over polynomial
+    rings with ring.mul.
+    """
     rp = rows[p]
     c = rp[q]
+    if isinstance(ring, PolynomialRing):
+        mul = ring.mul
+        return all(mul(c, x) == mul(ri[q], y) for ri in rows for x, y in zip(ri, rp))
+    m = ring._m if isinstance(ring, _ResidueRing) else None
     swept = 0
     for ri in rows:
         swept += 1
@@ -196,37 +211,6 @@ def _pivot_sweep(rows, p: int, q: int, m: int | None) -> bool:
             break
     _bump(2 * len(rp) * swept, 0)  # the row that breaks counts in full
     return not broken
-
-
-def _certify_polynomials(rows, ring: PolynomialRing) -> bool:
-    """The certificate over R[x] (and R[x][y]) with ring arithmetic.
-
-    Over Z, GF(p) and their polynomial rings every nonzero entry is a
-    pivot.  Over Z/m a polynomial is a zero divisor only if a nonzero
-    constant kills it (McCoy), so the pivot must have coefficients whose
-    gcd with m is 1; without one, the certificate declines.
-    """
-    ground = ring.base
-    depth = 1
-    while isinstance(ground, PolynomialRing):
-        ground = ground.base
-        depth += 1
-    m = ground.modulus if isinstance(ground, ModularRing) else None
-    for row in rows:
-        for q, x in enumerate(row):
-            if x and (m is None or _content_gcd(x, depth, m) == 1):
-                mul = ring.mul
-                return all(
-                    mul(x, v) == mul(ri[q], w) for ri in rows for v, w in zip(ri, row)
-                )
-    return not any(map(any, rows))  # the zero matrix; else no regular pivot
-
-
-def _content_gcd(value, depth: int, g: int) -> int:
-    """gcd of g and every ground coefficient of a polynomial nested depth deep."""
-    for c in value:
-        g = gcd(g, c) if depth == 1 else _content_gcd(c, depth - 1, g)
-    return g
 
 
 def outer(col: Matrix, row: Matrix) -> Matrix:
@@ -258,15 +242,15 @@ def decompose(a: Matrix) -> OuterFactors | None:
     if pivot is None:
         return OuterFactors(Matrix.zero(ring, a.rows, 1), Matrix.zero(ring, 1, a.rows))
     p, q = pivot
-    m = None if isinstance(ring, IntegerRing) else ring.p
-    if not _pivot_sweep(d, p, q, m):
+    if not _pivot_sweep(d, p, q, ring):
         return None
     rp = d[p]
-    if m is None:
+    if isinstance(ring, IntegerRing):
         g = gcd(*rp)
         row = [x // g for x in rp]
         col = [r[q] // row[q] for r in d]
     else:  # row[q] = 1, so the column is column q
+        m = ring.p
         inv = pow(rp[q], -1, m)
         row = [x * inv % m for x in rp]
         col = [r[q] for r in d]

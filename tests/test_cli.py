@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import tracemalloc
 import pytest
 
 import minortrace
-from minortrace import Matrix, ModularRing, count_ops
+from minortrace import Matrix, ModularRing, PolynomialRing, count_ops, outer
 from minortrace.cli import main
 from minortrace.serialize import dumps, matrix_from_obj, matrix_to_obj
 from support import INT
@@ -425,3 +426,35 @@ def test_prime_field_order_stops_below_psi_13(capsys):
     assert code == 2 and payload is None and f"only below {psi_13}" in err
     code, payload, _ = run(capsys, "gen", "--ring", f"gf:{2**61 - 1}", "--n", "2")
     assert code == 0 and payload["ring"] == {"kind": "gf", "p": str(2**61 - 1)}
+
+
+@pytest.mark.parametrize("case", ["even-mod4-48", "twice-outer-mod8-32"])
+def test_polynomial_matrices_without_regular_entries_answer_in_bounded_time(
+    tmp_path, capsys, case
+):
+    # every entry is a zero divisor, so the certificate has no pivot and
+    # must reduce; a scan of all minors took about 10 s and 2 s on these
+    rng = random.Random(case)
+
+    def poly_rows(ring, rows, cols, step=1):
+        m = ring.base.modulus
+        return [
+            [[step * rng.randrange(m) for _ in range(3)] for _ in range(cols)] for _ in range(rows)
+        ]
+
+    if case == "even-mod4-48":
+        ring, n = PolynomialRing(ModularRing(4)), 48
+        a = Matrix.from_rows(ring, poly_rows(ring, n, n, step=2))
+    else:
+        ring, n = PolynomialRing(ModularRing(8)), 32
+        col = Matrix.from_rows(ring, poly_rows(ring, n, 1))
+        a = outer(col, Matrix.from_rows(ring, poly_rows(ring, 1, n))).scale(2)
+    a_path = tmp_path / "a.json"
+    a_path.write_text(dumps(matrix_to_obj(a)))
+    b_path = write_matrix(tmp_path / "b.json", poly_rows(ring, n, n), ring)
+    for argv in (["check", str(a_path)], ["verify", str(a_path), b_path, "--fast"],
+                 ["power", str(a_path), "3"]):
+        start = time.perf_counter()
+        code, payload, _ = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 0 and payload is not None, argv

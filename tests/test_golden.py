@@ -7,7 +7,7 @@ nilpotent-scalar matrices, non-canonical encodings and malformed files,
 among them files whose shape error comes before a bad entry (the entry's
 error is the one reported), and files whose rows 1-2 hold a nonzero minor
 ahead of a bad entry, a shape error or a non-canonical spelling in a later
-row.
+row, and files over Z/4[x] and Z/8[x] whose entries are all zero divisors.
 
 The inputs are built here from seeded pure-Python arithmetic, independent
 of the library; the expected results live in golden_cli.json.  Stdout
@@ -148,6 +148,7 @@ def build_inputs() -> dict[str, str]:
     files.update(_malformed_inputs())
     files.update(_error_order_inputs())
     files.update(_head_first_inputs())
+    files.update(_zero_divisor_inputs())
     return files
 
 
@@ -290,6 +291,40 @@ def _head_first_inputs() -> dict[str, str]:
     return files
 
 
+ZERO_DIVISOR_ORDERS = (2, 3, 5, 8)
+
+
+def _zero_divisor_inputs() -> dict[str, str]:
+    """Files over Z/4[x] and Z/8[x] in which no entry is regular: 2 (col row),
+    every coefficient even, and the same with one entry bumped so that a minor
+    is nonzero.  Over Z/4 every matrix of zero divisors is structured, so the
+    bump there adds 1 and makes one entry regular; over Z/8 it adds 2.  The
+    first entries of col and row have an odd constant term, so the minor of
+    rows (1, i) and columns (1, j) of a bumped (i, j), 2 c_1 r_1 over Z/4 and
+    4 c_1 r_1 over Z/8, is nonzero."""
+    files: dict[str, str] = {}
+    for m in (4, 8):
+        ring_obj = {"kind": "poly", "base": {"kind": "mod", "modulus": str(m)}, "var": "x"}
+        for n in ZERO_DIVISOR_ORDERS:
+            rng = random.Random(f"zero-divisor:{m}:{n}")
+            col = [_sample(rng, m, True) for _ in range(n)]
+            row = [_sample(rng, m, True) for _ in range(n)]
+            col[0][0] |= 1
+            row[0][0] |= 1
+            twice = [[[2 * c for c in _mul(x, y, True)] for y in row] for x in col]
+            files[f"zd{m}_twice_{n}.json"] = _matrix_text(
+                ring_obj, [[_encode(x, m, True) for x in r] for r in twice]
+            )
+            i, j = rng.randrange(1, n), rng.randrange(1, n)
+            twice[i][j][0] += m // 4
+            files[f"zd{m}_bumped_{n}.json"] = _matrix_text(
+                ring_obj, [[_encode(x, m, True) for x in r] for r in twice]
+            )
+            b = [[_encode(_sample(rng, m, True), m, True, rng) for _ in range(n)] for _ in range(n)]
+            files[f"zd{m}_b_{n}.json"] = _matrix_text(ring_obj, b)
+    return files
+
+
 def build_calls() -> list[tuple[list[str], str | None]]:
     """(argv, stdin file name or None) for every call of the corpus."""
     calls: list[tuple[list[str], str | None]] = []
@@ -399,6 +434,14 @@ def build_calls() -> list[tuple[list[str], str | None]]:
         add("check", name)
         add("probe", name)
         add("check", "-", stdin=name)
+    for m in (4, 8):  # appended after the head-first calls
+        for n in ZERO_DIVISOR_ORDERS:
+            for kind in ("twice", "bumped"):
+                a = f"zd{m}_{kind}_{n}.json"
+                add("check", a)
+                add("probe", a)
+                add("verify", a, f"zd{m}_b_{n}.json", "--fast")
+                add("power", a, "3")
     return calls
 
 

@@ -66,6 +66,15 @@ def test_from_rows_validation():
         Matrix.from_rows(INT, [[MOD4.elem(1)]])
 
 
+def test_from_rows_reports_a_bad_entry_before_a_shape_error():
+    # every row is canonicalized before the shape is checked, the order the
+    # CLI's decode uses
+    with pytest.raises(TypeError):
+        Matrix.from_rows(INT, [[1, 2], [3], [True]])
+    with pytest.raises(TypeError):
+        Matrix.from_rows(MOD4, [[], ["1"]])
+
+
 def test_from_rows_takes_ring_elements_and_raw_values_per_row():
     a = Matrix.from_rows(MOD4, [[MOD4.elem(5), 6], [7, -1], (2, 3)])
     assert a.data == ((1, 2), (3, 3), (2, 3))

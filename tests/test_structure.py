@@ -26,7 +26,7 @@ from minortrace import (
     outer,
     random_matrix,
 )
-from minortrace.structure import _certify
+from minortrace.structure import _certify, _scan_minors
 from support import ALL_RINGS, GF5, INT, MOD4, RING_IDS, all_minors_naive, matrices, raw_values
 
 
@@ -310,8 +310,10 @@ def test_certificate_exhaustive_small_rings(m, n):
 
 
 def nilpotent_scalar(ring):
-    base = ring.base if isinstance(ring, PolynomialRing) else ring
-    s = find_nilpotent_scalar(base)
+    ground = ring
+    while isinstance(ground, PolynomialRing):
+        ground = ground.base
+    s = find_nilpotent_scalar(ground)
     return None if s is None else ring.canon(s)
 
 
@@ -344,18 +346,23 @@ def certificate_cases(draw, ring):
 MOD6 = ModularRing(6)
 MOD72 = ModularRing(72)
 POLY_MOD4 = PolynomialRing(MOD4)
+POLY_MOD6 = PolynomialRing(MOD6)
+POLY_MOD8 = PolynomialRing(ModularRing(8))
+POLY_MOD12 = PolynomialRing(ModularRing(12))
+POLY_POLY_MOD4 = PolynomialRing(POLY_MOD4, "y")
 
 
 @pytest.mark.parametrize(
-    "ring", ALL_RINGS + [MOD6, MOD72, POLY_MOD4], ids=RING_IDS + ["mod6", "mod72", "polymod4"]
+    "ring",
+    ALL_RINGS + [MOD6, MOD72, POLY_MOD4, POLY_MOD6, POLY_MOD12, POLY_POLY_MOD4],
+    ids=RING_IDS + ["mod6", "mod72", "polymod4", "polymod6", "polymod12", "polypolymod4"],
 )
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_certificate_agrees_with_independent_enumerator(ring, data):
     a = data.draw(certificate_cases(ring))
     certified, structured = assert_matches_naive(a)
-    if ring != POLY_MOD4:  # only Z/m[x] may lack a pivot that is not a zero divisor
-        assert certified == structured
+    assert certified == structured
 
 
 @pytest.mark.parametrize(
@@ -372,12 +379,60 @@ def test_certificate_rejects_zero_divisor_pivots(ring, pivot, other):
     assert not certified and not structured
 
 
-def test_certificate_scan_fallback_over_polynomials_mod_m():
-    # every entry is a multiple of 2 in Z/4[x], so no pivot qualifies
+def test_certificate_decides_polynomials_mod_m_without_a_regular_pivot():
+    # every entry is a multiple of 2 in Z/4[x], so no entry is a pivot; the
+    # gcd step takes out g = 2, and g^2 = 0 in Z/4 settles it
     a = Matrix.from_rows(POLY_MOD4, [[[2], [0, 2]], [[0, 2], [2]]])
-    assert not _certify(a)
+    assert _certify(a)
     assert check_vanishing_minors(a).structured
     assert_matches_naive(a)
+
+
+def assert_certificate_matches_scan(ring, entries):
+    """Over every 2x2 matrix with entries drawn from entries: the certificate
+    decides as the scan does, and check_vanishing_minors gives its witness."""
+    for e in itertools.product(entries, repeat=4):
+        a = Matrix(ring, (e[:2], e[2:]))
+        scan = _scan_minors(a)
+        assert _certify(a) == scan.structured, a
+        assert check_vanishing_minors(a) == scan, a
+
+
+def linear_polynomials(ring):
+    m = ring.base.modulus
+    return sorted({ring.canon([c0, c1]) for c0 in range(m) for c1 in range(m)})
+
+
+def test_certificate_exhaustive_linear_polynomials_mod_4():
+    entries = linear_polynomials(POLY_MOD4)
+    assert len(entries) == 16
+    assert_certificate_matches_scan(POLY_MOD4, entries)  # 65536 matrices
+
+
+def test_certificate_exhaustive_linear_zero_divisors_mod_6():
+    # the linear polynomials whose content shares a factor with 6 (McCoy);
+    # all 36 linear polynomials give about 1.7M matrices
+    entries = [p for p in linear_polynomials(POLY_MOD6) if math.gcd(6, *p) > 1]
+    assert len(entries) == 12
+    assert_certificate_matches_scan(POLY_MOD6, entries)  # 20736 matrices
+
+
+def test_certificate_without_regular_pivot_uses_quadratic_multiplications():
+    # 2 (col row) over Z/8[x]: every entry is a zero divisor, so the gcd step
+    # reduces to col row over Z/2[x], whose sweep decides
+    n = 32
+    rng = random.Random(11)
+
+    def vector(rows, cols):
+        coeffs = [[[rng.randrange(8) for _ in range(3)] for _ in range(cols)] for _ in range(rows)]
+        return Matrix.from_rows(POLY_MOD8, coeffs)
+
+    a = outer(vector(n, 1), vector(1, n)).scale(2)
+    with count_ops() as counts:
+        assert check_vanishing_minors(a).structured
+    # two products per entry, each of at most 5 x 5 coefficients; a scan of
+    # all minors makes 6695401 coefficient multiplications here
+    assert counts.mul <= 2 * 25 * n * n
 
 
 def test_certificate_uses_2n_squared_multiplications():
