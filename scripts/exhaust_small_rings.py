@@ -10,7 +10,9 @@ import argparse
 from minortrace import exhaustive_characterization
 from minortrace.serialize import dumps, equivalence_report_to_obj, parse_ring_spec
 
-DEFAULT_CONFIGS = ["mod:2,2", "mod:2,3", "mod:3,2", "mod:4,2", "mod:5,2", "gf:3,2", "mod:6,2", "gf:5,2"]
+DEFAULT_CONFIGS = [
+    "mod:2,2", "mod:2,3", "mod:3,2", "mod:4,2", "mod:5,2", "gf:3,2", "mod:6,2", "gf:5,2", "mod:8,2", "mod:10,2",
+]
 
 
 def main() -> None:

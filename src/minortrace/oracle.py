@@ -7,12 +7,19 @@ for-every-B side is decided by probing the n^2 unit matrices, which is
 provably equivalent to the full quantifier; periodic full-B spot checks
 keep that shortcut honest.
 
-A spot check tries every B, but not one at a time: the m^(n(n-1)) matrices
-B that share a first row are packed into one n x n integer matrix, one
-fixed-width field per B, and a single residual over Z holds all of their
-residuals.  Each of those lies in [-n^2 (m-1)^3, n^2 (m-1)^3], so fields of
-the smallest of 1, 2, 4 or 8 bytes that holds twice that bound never carry
-into each other once an offset lifts them above zero.
+The sweep and its spot checks run bit-parallel over Z: many matrices are
+packed into one integer, one fixed-width field per matrix, and a form
+linear in the packed entries holds each matrix's value in its own field.
+The sweep fixes A's first n-1 rows and packs its last row, one field per
+value of that row: no 2x2 minor a_ik a_jl - a_il a_jk and no unit-probe
+residual entry a_xl a_jc - a_jl a_xc (x != j) uses the last row twice, so
+each is linear in it, with fields in [-(m-1)^2, (m-1)^2].  A spot check
+tries every B: the m^(n^2-1) matrices B that share a first entry go into
+one n x n integer matrix, and a single residual over Z holds all of their
+residuals, with fields in [-n^2 (m-1)^3, n^2 (m-1)^3].  Either way, adding
+the least multiple of m at or above the bound lifts every field above zero
+without changing it mod m, and fields of the smallest of 1, 2, 4 or 8 bytes
+that hold twice that offset never carry into each other.
 """
 
 from __future__ import annotations
@@ -23,10 +30,7 @@ from dataclasses import dataclass
 
 from .kernels import _square_pair
 from .matrices import Matrix, NotSquare, TooSmall
-from .rings import IntegerRing, Ring, _ResidueRing
-# the literal minor scan, not the certificate: the oracle's minor side must
-# stay independent of the fast structure test it cross-checks
-from .structure import _scan_minors
+from .rings import IntegerRing, Ring, _bump, _ResidueRing
 
 
 class TooLargeToEnumerate(Exception):
@@ -98,48 +102,67 @@ def iter_all_matrices(ring: Ring, n: int):
 _FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # field width -> memoryview format
 
 
+def _packing(bound: int, m: int, count: int):
+    """Field layout for count packed values in [-bound, bound], decided mod m.
+
+    offset is the least multiple of m at or above bound, and the width the
+    smallest of 1, 2, 4 or 8 bytes whose fields hold 2 offset, so a value
+    plus offset is nonnegative, fits its field, and is 0 mod m exactly when
+    the value is.  Returns (width, memoryview format, lift, repunit): the
+    repunit has a 1 in every field and the lift is offset times it.
+    """
+    offset = -(-bound // m) * m
+    width = next(w for w in _FIELD_FORMATS if 2 * offset < 256**w)
+    repunit = int.from_bytes((1).to_bytes(width, "little") * count, "little")
+    return width, _FIELD_FORMATS[width], offset * repunit, repunit
+
+
+def _packed_digits(m: int, k: int, width: int) -> list[int]:
+    """k integers, one width-byte field per tuple of product(range(m), repeat=k).
+
+    Field t of integer e holds entry e of the t-th tuple in that order, the
+    order itertools.product gives: entry e runs through 0..m-1 in runs of
+    m^(k-1-e) fields.
+    """
+    count = m**k
+    fields = [v.to_bytes(width, "little") for v in range(m)]
+    digits = []
+    run = count
+    for _ in range(k):
+        run //= m
+        digits.append(int.from_bytes(b"".join(f * run for f in fields) * (count // (run * m)), "little"))
+    return digits
+
+
 def universal_identity_by_enumeration(a: Matrix) -> bool:
     """Decide the for-every-B question by trying literally every B.
 
-    The B with one first row r are checked together, bit-parallel over Z.
+    The B with one first entry b are checked together, bit-parallel over Z.
     Lift A to the integers (its entries lie in [0, m)) and pack those
-    m^(n(n-1)) matrices into one integer matrix P, one w-byte field per B
-    in enumeration order: entry (k, j) of P, k >= 1, holds entry (k, j) of
-    each B in its own field, and row 0 is r times the repunit R with one 1
-    per field.  The residual A P A - Tr(AP) A is linear in P, so its field t
-    is B_t's residual over Z, which reduces mod m to the residual over Z/m.
-    Every residual entry lies in [-n^2 (m-1)^3, n^2 (m-1)^3]; with offset the
-    least multiple of m at or above that bound and 2 offset < 256^w, adding
-    offset * R makes every field nonnegative and below 256^w, so the fields
-    decode one by one, and B_t satisfies the identity iff each of its fields
-    is 0 mod m.  One verify_identity per first row keeps an early exit.
+    m^(n^2-1) matrices into one integer matrix P, one field per B in
+    enumeration order: every entry of P but (0, 0) holds that entry of each
+    B in its own field, and entry (0, 0) is b times the repunit.  The
+    residual A P A - Tr(AP) A is linear in P, so its field t is B_t's
+    residual over Z, which reduces mod m to the residual over Z/m.  Every
+    residual entry lies in [-n^2 (m-1)^3, n^2 (m-1)^3]; lifted as _packing
+    describes, the fields decode one by one, and B_t satisfies the identity
+    iff each of its fields is 0 mod m.  One verify_identity per first entry
+    keeps an early exit.
     """
     if not a.is_square:
         raise NotSquare(f"square matrix required, got {a.rows}x{a.cols}")
     n = a.rows
     values = _enumerable_values(a.ring, n)
     m = len(values)
-    offset = -(-n * n * (m - 1) ** 3 // m) * m
-    width = next(w for w in _FIELD_FORMATS if 2 * offset < 256**w)
-    fmt = _FIELD_FORMATS[width]
-    count = m ** (n * (n - 1))  # B per first row
+    count = m ** (n * n - 1)  # B per first entry
+    width, fmt, lift, repunit = _packing(n * n * (m - 1) ** 3, m, count)
     size = width * count
-    from_bytes = int.from_bytes
-    fields = [v.to_bytes(width, "little") for v in values]
-    repunit = from_bytes((1).to_bytes(width, "little") * count, "little")
-    # entry e of rows 1..n-1 (row-major) runs through values in runs of
-    # m^(n(n-1)-1-e) fields, the order itertools.product gives
-    rest = []
-    run = count
-    for _ in range(n * (n - 1)):
-        run //= m
-        rest.append(from_bytes(b"".join(f * run for f in fields) * (count // (run * m)), "little"))
-    rest_rows = tuple(tuple(rest[k * n : (k + 1) * n]) for k in range(n - 1))
+    rest = _packed_digits(m, n * n - 1, width)
     integers = IntegerRing()
     a_z = Matrix(integers, a.data)
-    lift = offset * repunit
-    for first in itertools.product(values, repeat=n):
-        p = Matrix(integers, (tuple([x * repunit for x in first]),) + rest_rows)
+    for first in values:
+        entries = [first * repunit, *rest]
+        p = Matrix(integers, tuple(tuple(entries[k * n : (k + 1) * n]) for k in range(n)))
         for row in verify_identity(a_z, p).data:
             for x in row:
                 # native byte order, the order cast reads a field in
@@ -171,37 +194,114 @@ class EquivalenceReport:
 MISMATCH_CAP = 10
 SPOT_CHECK_EVERY = 100  # probe decisions re-checked by the full-B loop
 
+_ONE_IF_NONZERO = bytes(1) + b"\x01" * 255  # bytes.translate table
+
+
+def _probe_fails(rows, decide) -> bytes:
+    """The for-every-B side of a block: byte t is 1 iff matrix t fails a unit probe.
+
+    rows are A's first n-1 rows as ints and its last row packed, and
+    decide turns the residual entries into the block's bytes, those on the
+    first rows alone (const) apart from those on the last row.  In row
+    x != j, the residual of the probe with its unit at (l, j) is
+    a_xl row_j(A) - a_jl row_x(A); in row j it is zero.
+    """
+    last = len(rows) - 1
+    const, packed = [], []
+    for l in range(len(rows)):
+        for j, rj in enumerate(rows):
+            a_jl = rj[l]
+            for x, rx in enumerate(rows):
+                if x != j:
+                    a_xl = rx[l]
+                    residual = [a_xl * y - a_jl * z for y, z in zip(rj, rx)]
+                    (packed if last in (x, j) else const).extend(residual)
+    return decide(const, packed)
+
+
+def _minor_fails(rows, decide) -> bytes:
+    """The minor side of a block: byte t is 1 iff matrix t has a nonzero 2x2 minor."""
+    last = len(rows) - 1
+    pairs = list(itertools.combinations(range(len(rows)), 2))
+    const, packed = [], []
+    for i, j in pairs:
+        ri, rj = rows[i], rows[j]
+        (packed if j == last else const).extend([ri[k] * rj[l] - ri[l] * rj[k] for k, l in pairs])
+    return decide(const, packed)
+
 
 def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
     """Enumerate every A over a small finite ring and cross-classify it.
 
-    The for-every-B side runs on the n^2 unit probes, and every
-    SPOT_CHECK_EVERY-th matrix (the first included) also runs the full-B
-    enumeration, which must agree.
+    The matrices come in blocks of m^n that share their first n-1 rows, in
+    enumeration order, and each block is decided on both sides at once: the
+    for-every-B side on the n^2 unit probes, the minor side on the minors.
+    A form on the first rows alone is one value for the whole block; a form
+    on the last row is linear in it, and with that row packed, one field per
+    matrix, holds each matrix's value in [-(m-1)^2, (m-1)^2] in its own
+    field.  Every SPOT_CHECK_EVERY-th matrix (the first included) also runs
+    the full-B enumeration, which must agree with its probe decision.
     """
     if n < 2:
         raise TooSmall("exhaustive characterization needs n >= 2")
-    total = 0
+    values = _enumerable_values(ring, n)
+    m = len(values)
+    block = m**n  # matrices per block: A's last row runs through values
+    width, fmt, lift, _ = _packing((m - 1) ** 2, m, block)
+    size = width * block
+    order = sys.byteorder
+    from_bytes = int.from_bytes
+    all_fail = b"\x01" * block
+
+    def decide(const, packed):
+        # byte t is 1 iff some form is nonzero mod m on matrix t; a const
+        # form has one value for the whole block, a packed one a field each
+        if any(v % m for v in const):
+            return all_fail
+        # -x has x's fields negated, so abs(x) decides for both, and a form
+        # that is 0 over Z is 0 on every matrix
+        forms = set(map(abs, packed))
+        forms.discard(0)
+        flags = 0
+        for x in forms:
+            # native byte order both ways, so byte t of flags is field t's
+            # residue, which fits a byte: the budget keeps m below 32
+            view = memoryview((x + lift).to_bytes(size, order)).cast(fmt)
+            flags |= from_bytes(bytes(map(m.__rmod__, view)), order)
+        return flags.to_bytes(block, "little").translate(_ONE_IF_NONZERO)
+
+    # forms per block, two multiplications and a subtraction each: minors
+    # (i, j, k, l) and probe entries (l, j, x, c), x != j; one value per
+    # block on the first rows alone, one per matrix on the last row
+    pairs = n * (n - 1) // 2
+    form_values = (pairs - n + 1) * pairs + (n - 1) * (n - 2) * n * n
+    form_values += ((n - 1) * pairs + 2 * (n - 1) * n * n) * block
+    last = tuple(_packed_digits(m, n, width))
+    all_rows = list(itertools.product(values, repeat=n))
     ident_count = 0
     minors_count = 0
     mismatches: list[Matrix] = []
-    for index, a in enumerate(iter_all_matrices(ring, n)):
-        structured = _scan_minors(a).structured
-        holds = universal_identity_via_probes(a)
-        if index % SPOT_CHECK_EVERY == 0:
-            if holds != universal_identity_by_enumeration(a):
+    for index, prefix in enumerate(itertools.product(all_rows, repeat=n - 1)):
+        _bump(2 * form_values, form_values)
+        rows = prefix + (last,)
+        fails = _probe_fails(rows, decide)
+        unstructured = _minor_fails(rows, decide)
+        for t in range(-index * block % SPOT_CHECK_EVERY, block, SPOT_CHECK_EVERY):
+            a = Matrix(ring, prefix + (all_rows[t],))
+            if (not fails[t]) != universal_identity_by_enumeration(a):
                 raise RuntimeError(
                     f"probe decision disagrees with full enumeration at {a!r}"
                 )
-        total += 1
-        ident_count += holds
-        minors_count += structured
-        if holds != structured and len(mismatches) < MISMATCH_CAP:
-            mismatches.append(a)
+        ident_count += fails.count(0)
+        minors_count += unstructured.count(0)
+        if fails != unstructured and len(mismatches) < MISMATCH_CAP:
+            wrong = [t for t in range(block) if fails[t] != unstructured[t]]
+            for t in wrong[: MISMATCH_CAP - len(mismatches)]:
+                mismatches.append(Matrix(ring, prefix + (all_rows[t],)))
     return EquivalenceReport(
         ring=ring,
         n=n,
-        total=total,
+        total=m ** (n * n),
         set_identity=ident_count,
         set_minors=minors_count,
         agree=not mismatches and ident_count == minors_count,

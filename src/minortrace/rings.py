@@ -338,6 +338,10 @@ class IntegerRing(Ring):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        _bump(0, 1)
+        return a - b
+
     def mul(self, a, b):
         _bump(1, 0)
         return a * b
@@ -409,6 +413,10 @@ class _ResidueRing(Ring):
 
     def neg(self, a):
         return (-a) % self._m
+
+    def sub(self, a, b):
+        _bump(0, 1)
+        return (a - b) % self._m
 
     def mul(self, a, b):
         _bump(1, 0)

@@ -17,9 +17,11 @@ from minortrace import (
     find_nilpotent_scalar,
     gen_structured,
     iter_all_matrices,
+    universal_identity_via_probes,
     verify_identity,
 )
 from minortrace.cli import _INPUT_ERRORS
+from minortrace.oracle import MISMATCH_CAP, EquivalenceReport
 from minortrace.probe import probe_converse
 from minortrace.serialize import (
     SerializeError,
@@ -31,7 +33,7 @@ from minortrace.serialize import (
     ring_from_obj,
     verdict_to_obj,
 )
-from minortrace.structure import check_vanishing_minors
+from minortrace.structure import _scan_minors, check_vanishing_minors
 
 INT = IntegerRing()
 MOD4 = ModularRing(4)
@@ -156,6 +158,31 @@ def check_or_probe_full_decode(command: str, text: str) -> tuple[int, str, str]:
 def universal_identity_per_b(a: Matrix) -> bool:
     """Reference full-B decision: the residual of every B, one B at a time."""
     return all(verify_identity(a, b).is_zero() for b in iter_all_matrices(a.ring, a.rows))
+
+
+def exhaustive_characterization_per_matrix(ring, n: int, flip=frozenset()) -> EquivalenceReport:
+    """Reference exhaust, one matrix at a time: the literal minor scan and the
+    unit probes on each A of iter_all_matrices, with the probe decision
+    negated at the enumeration indices in flip."""
+    total = ident_count = minors_count = 0
+    mismatches = []
+    for index, a in enumerate(iter_all_matrices(ring, n)):
+        structured = _scan_minors(a).structured
+        holds = universal_identity_via_probes(a) != (index in flip)
+        total += 1
+        ident_count += holds
+        minors_count += structured
+        if holds != structured and len(mismatches) < MISMATCH_CAP:
+            mismatches.append(a)
+    return EquivalenceReport(
+        ring=ring,
+        n=n,
+        total=total,
+        set_identity=ident_count,
+        set_minors=minors_count,
+        agree=not mismatches and ident_count == minors_count,
+        mismatches=tuple(mismatches),
+    )
 
 
 def poly_mul_per_coeff(ring, a, b):

@@ -22,7 +22,12 @@ from minortrace import (
     verify_identity,
 )
 from minortrace import oracle
-from support import INT, rand_structured, universal_identity_per_b
+from support import (
+    INT,
+    exhaustive_characterization_per_matrix,
+    rand_structured,
+    universal_identity_per_b,
+)
 
 
 def mat(rows, ring=INT):
@@ -105,28 +110,127 @@ def test_packed_full_b_check_at_the_widest_fields():
 
 
 def test_packed_full_b_check_multiplication_count():
-    # one verify_identity per first row of B: m^n (2n^3 + n^2) multiplications,
+    # one verify_identity per first entry of B: m (2n^3 + n^2) multiplications,
     # against m^(n^2) (2n^3 + n^2) = 25920 for one call per B
     ring, n = ModularRing(6), 2
     a = rand_structured(random.Random(67), ring, n)
     with count_ops() as ops:
         assert universal_identity_by_enumeration(a)
-    assert ops.mul <= 6**n * (2 * n**3 + n * n) == 720
+    assert ops.mul <= 6 * (2 * n**3 + n * n) == 120
+
+
+def corrupt_probe_side(monkeypatch, block, flip):
+    """Negate the sweep's probe decision at the enumeration indices in flip;
+    the sweep decides one block of `block` matrices per call, in order."""
+    real = oracle._probe_fails
+    calls = []
+
+    def corrupted(rows, decide):
+        base = len(calls) * block
+        calls.append(rows)
+        fails = bytearray(real(rows, decide))
+        for index in flip:
+            if base <= index < base + block:
+                fails[index - base] ^= 1
+        return bytes(fails)
+
+    monkeypatch.setattr(oracle, "_probe_fails", corrupted)
+    return calls
 
 
 def test_spot_check_catches_a_wrong_probe_decision(monkeypatch):
-    real = oracle.universal_identity_via_probes
-    calls = []
-
-    def wrong_on_the_second_spot_check(a):
-        calls.append(a)
-        holds = real(a)
-        return not holds if len(calls) == oracle.SPOT_CHECK_EVERY + 1 else holds
-
-    monkeypatch.setattr(oracle, "universal_identity_via_probes", wrong_on_the_second_spot_check)
+    block = 4**2
+    calls = corrupt_probe_side(monkeypatch, block, {oracle.SPOT_CHECK_EVERY})
     with pytest.raises(RuntimeError, match="disagrees with full enumeration"):
         exhaustive_characterization(ModularRing(4), 2)
-    assert len(calls) == oracle.SPOT_CHECK_EVERY + 1
+    assert len(calls) == oracle.SPOT_CHECK_EVERY // block + 1
+
+
+SWEEP_CONFIGS = [(ModularRing(m), 2) for m in (2, 3, 4, 5, 6, 8, 12)]
+SWEEP_CONFIGS += [(PrimeFieldRing(p), 2) for p in (2, 3, 5)]
+SWEEP_CONFIGS += [(ModularRing(2), 3), (PrimeFieldRing(2), 3)]
+
+
+@pytest.mark.parametrize("ring, n", SWEEP_CONFIGS, ids=str)
+def test_sweep_equals_the_per_matrix_reference(ring, n):
+    # Z/12's lifted fields take two bytes (2 * 132 >= 256); the others take one
+    assert exhaustive_characterization(ring, n) == exhaustive_characterization_per_matrix(ring, n)
+
+
+def test_sweep_reports_wrong_probe_decisions_as_mismatches(monkeypatch):
+    ring, n = ModularRing(4), 2
+    # twelve indices, none a spot-check index, in more than one block
+    flip = {3, 17, 18, 40, 41, 99, 101, 150, 199, 201, 230, 255}
+    corrupt_probe_side(monkeypatch, 4**n, flip)
+    report = exhaustive_characterization(ring, n)
+    assert report == exhaustive_characterization_per_matrix(ring, n, flip)
+    honest = exhaustive_characterization_per_matrix(ring, n)
+    matrices = list(iter_all_matrices(ring, n))
+    assert not report.agree
+    assert report.set_minors == honest.set_minors
+    gained = sum(1 - 2 * universal_identity_via_probes(matrices[i]) for i in flip)
+    assert report.set_identity == honest.set_identity + gained
+    assert report.mismatches == tuple(matrices[i] for i in sorted(flip)[: oracle.MISMATCH_CAP])
+
+
+def test_sweep_counts_two_multiplications_and_a_subtraction_per_form_value(monkeypatch):
+    # one value per block for a form on the first rows, one per matrix for a
+    # form on the packed last row; only the zero matrix, the first, is
+    # spot-checked, by a stand-in that counts nothing
+    monkeypatch.setattr(oracle, "SPOT_CHECK_EVERY", 10**9)
+    monkeypatch.setattr(oracle, "universal_identity_by_enumeration", lambda a: a.is_zero())
+    block = 3**3
+    values = []
+    for name in ("_probe_fails", "_minor_fails"):
+
+        def tallied(rows, decide, real=getattr(oracle, name)):
+            def tally(const, packed):
+                values.append(len(const) + len(packed) * block)
+                return decide(const, packed)
+
+            return real(rows, tally)
+
+        monkeypatch.setattr(oracle, name, tallied)
+    with count_ops() as ops:
+        assert exhaustive_characterization(ModularRing(3), 3).agree
+    assert (ops.mul, ops.add) == (2 * sum(values), sum(values))
+
+
+def rank_at_most_one_count(m, n):
+    """n x n matrices over a squarefree Z/m whose 2x2 minors all vanish.
+
+    Over GF(q) they are 0 and the rank-1 matrices u v^T: (q^n - 1)^2 pairs
+    of nonzero u and v, q - 1 of them per matrix, so 1 + (q^n - 1)^2 / (q - 1)
+    in all; over Z/m, by CRT, the product of that over the primes of m.
+    """
+    count, q = 1, 2
+    while m > 1:
+        if m % q == 0:
+            m //= q
+            assert m % q, "squarefree moduli only"
+            count *= 1 + (q**n - 1) ** 2 // (q - 1)
+        q += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "ring, n, count",
+    [
+        (ModularRing(2), 2, 10),
+        (ModularRing(3), 2, 33),
+        (ModularRing(5), 2, 145),
+        (ModularRing(6), 2, 330),
+        (PrimeFieldRing(7), 2, 385),
+        (ModularRing(10), 2, 1450),
+        (ModularRing(2), 3, 50),
+    ],
+    ids=str,
+)
+def test_exhaustive_counts_match_the_closed_form(ring, n, count):
+    m = ring.modulus if isinstance(ring, ModularRing) else ring.p
+    assert rank_at_most_one_count(m, n) == count
+    report = exhaustive_characterization(ring, n)
+    assert report.set_minors == report.set_identity == count
 
 
 def test_exhaustive_mod2_n2_pinned_counts():
@@ -185,7 +289,8 @@ def test_exhaust_small_rings_script_default_configs():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    configs = ["mod:2,2", "mod:2,3", "mod:3,2", "mod:4,2", "mod:5,2", "gf:3,2", "mod:6,2", "gf:5,2"]
+    configs = ["mod:2,2", "mod:2,3", "mod:3,2", "mod:4,2", "mod:5,2", "gf:3,2", "mod:6,2", "gf:5,2",
+               "mod:8,2", "mod:10,2"]
     assert len(lines) == len(configs)
     for config, line in zip(configs, lines):
         spec, _, n = config.rpartition(",")

@@ -6,14 +6,28 @@ from hypothesis import strategies as st
 
 from minortrace import (
     IntegerRing,
+    MinorIndex,
     ModularRing,
     PolynomialRing,
     PrimeFieldRing,
     RingMismatch,
     count_ops,
     is_prime,
+    random_matrix,
 )
-from support import GF5, INT, MOD4, POLY_INT, poly_add_per_coeff, poly_mul_per_coeff, raw_values
+from minortrace.rings import Ring
+from minortrace.structure import _scan_minors
+from support import (
+    GF5,
+    INT,
+    MOD4,
+    POLY_INT,
+    SCALAR_RINGS,
+    poly_add_per_coeff,
+    poly_mul_per_coeff,
+    rand_structured,
+    raw_values,
+)
 
 
 def test_add_examples():
@@ -133,6 +147,29 @@ def test_pow_scalar_matches_repeated_multiplication(k, data):
 def test_pow_scalar_rejects_negative_exponent():
     with pytest.raises(ValueError):
         INT.pow_scalar(2, -1)
+
+
+@pytest.mark.parametrize("ring", SCALAR_RINGS, ids=str)
+def test_sub_matches_add_of_neg_in_value_and_op_counts(ring, monkeypatch):
+    # Matrix.__sub__, the minor scan and minor2 each call ring.sub; the one
+    # operation gives what add(a, neg(b)) gives and counts the same one add
+    rng = random.Random(71)
+    n = 5
+    a, b = random_matrix(rng, ring, n, n), random_matrix(rng, ring, n, n)
+    structured = rand_structured(rng, ring, n)
+    indices = [MinorIndex(i, j, k, l) for i in range(n) for j in range(i + 1, n)
+               for k in range(n) for l in range(k + 1, n)]
+
+    def run():
+        with count_ops() as ops:
+            out = (a - b, _scan_minors(structured), _scan_minors(a), [a.minor2(i) for i in indices])
+        return out, (ops.mul, ops.add)
+
+    results, (muls, adds) = run()
+    monkeypatch.setattr(type(ring), "sub", Ring.sub)
+    assert run() == (results, (muls, adds))
+    # n^2 entries, every minor of the structured matrix, every minor2
+    assert adds >= n * n + 2 * len(indices)
 
 
 def test_count_ops_counts_a_dot_product():
