@@ -6,7 +6,8 @@ summary on stderr.  Exit codes: 0 success / identity holds / structured,
 3 structure precondition failed (with the probe witness on stdout).
 
 Matrix files use the JSON layout from the serialize module; "-" reads the
-matrix from stdin.  Ring specs: "int", "mod:<m>", "gf:<p>", "poly:int:x".
+matrix from stdin.  Ring specs: "int", "mod:<m>", "gf:<p>" and
+"poly:<base>:<var>", whose base is itself a spec ("poly:mod:4:x").
 """
 
 from __future__ import annotations

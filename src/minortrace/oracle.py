@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .kernels import _square_pair
 from .matrices import Matrix, NotSquare, TooSmall
-from .rings import IntegerRing, Ring, _bump, _ResidueRing
+from .rings import IntegerRing, ModularRing, PrimeFieldRing, Ring, _bump
 
 
 class TooLargeToEnumerate(Exception):
@@ -81,7 +81,7 @@ def universal_identity_via_probes(a: Matrix) -> bool:
 
 
 def _enumerable_values(ring: Ring, n: int) -> range:
-    if not isinstance(ring, _ResidueRing):
+    if not isinstance(ring, (ModularRing, PrimeFieldRing)):
         raise TooLargeToEnumerate(f"{ring} is not a finite enumerable ring")
     m = ring._m
     # m >= 2, so m^k exceeds the budget once k reaches the budget's bit length

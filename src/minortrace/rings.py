@@ -3,7 +3,9 @@
 Four ring families are provided: the integers, residue rings Z/m (composite
 moduli allowed on purpose, zero divisors included), prime fields GF(p), and
 univariate polynomial rings over any of these (nesting capped at depth 2).
-Every operation is exact; there is no floating point anywhere.
+Every operation is exact; there is no floating point anywhere.  Z, Z/m and
+GF(p) share one plain-int implementation keyed on the modulus, Z being Z/0:
+the same methods reduce mod m, or skip the reduction when m is 0.
 
 Elements are immutable values in canonical form: residues reduced to [0, m),
 polynomial coefficient tuples (lowest degree first) stripped of trailing
@@ -208,6 +210,26 @@ def _packed_product(a_rows, b_rows, width, finish, shift=0, offset=0):
     return tuple(tuple(map(finish, fields)) for fields in rows)
 
 
+def _packed_layout(m, terms, a_values, b_values):
+    """(width, finish, shift, offset) for packed sums of terms products a * b.
+
+    Over Z/m (m > 0) every sum lies in [0, terms (m-1)^2], and finish
+    reduces a field mod m.  Over Z (m = 0) |sum| < 2^(bits(max|a|) +
+    bits(max|b|) + bits(terms)): b is shifted by max|b| into [0, 2 max|b|],
+    and a field holds a signed digit lifted by half a field, one more bit.
+    The width is rounded as _field_format rounds it; only Z reads the values.
+    """
+    if m:
+        width = (2 * (m - 1).bit_length() + terms.bit_length() + 7) // 8
+        return _field_format(width)[0], m.__rmod__, 0, 0
+    top_a = max(map(abs, a_values))
+    top_b = max(map(abs, b_values))
+    bits = top_a.bit_length() + top_b.bit_length() + terms.bit_length() + 1
+    width = _field_format((bits + 7) // 8)[0]
+    half = 1 << (8 * width - 1)
+    return width, half.__rsub__, top_b, half
+
+
 # ---------------------------------------------------------------------------
 # Ring descriptors
 
@@ -305,92 +327,27 @@ class Ring:
         return RingElem(self, self.canon(value))
 
 
-@dataclass(frozen=True)
-class IntegerRing(Ring):
-    """The ring of integers (arbitrary precision)."""
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def canon(self, value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"integer value expected, got {value!r}")
-        return value
-
-    def canon_row(self, row) -> tuple:
-        if all_ints(row):
-            return tuple(row)
-        return super().canon_row(row)
-
-    def scale_row(self, t, row) -> tuple:
-        _bump(len(row), 0)
-        return tuple([t * x for x in row])
-
-    def add(self, a, b):
-        _bump(0, 1)
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        _bump(0, 1)
-        return a - b
-
-    def mul(self, a, b):
-        _bump(1, 0)
-        return a * b
-
-    def dot(self, xs, ys):
-        n = len(xs)
-        if n == 0:
-            return 0
-        _bump(n, n - 1)
-        return sum(map(operator.mul, xs, ys))
-
-    def matmul(self, a_rows, b_rows):
-        k = len(b_rows)
-        if min(len(a_rows), k, len(b_rows[0])) < _INTEGER_PACKED_FLOOR:
-            return super().matmul(a_rows, b_rows)
-        top_a = max(map(abs, chain.from_iterable(a_rows)))
-        top_b = max(map(abs, chain.from_iterable(b_rows)))
-        # |sum| < 2^(bits(top_a) + bits(top_b) + bits(k)), one more bit for
-        # the sign; b + top_b lies in [0, 2 top_b] and fits as well
-        width = (top_a.bit_length() + top_b.bit_length() + k.bit_length() + 8) // 8
-        half = 1 << (8 * width - 1)
-        return _packed_product(a_rows, b_rows, width, half.__rsub__, top_b, half)
-
-    def __str__(self):
-        return "Z"
-
-
 class _ResidueRing(Ring):
-    """Arithmetic shared by Z/m and GF(p): integers reduced into [0, m).
+    """Arithmetic on plain ints mod m, shared by Z, Z/m and GF(p).
 
-    Subclasses are frozen dataclasses whose __post_init__ validates their
-    public field and stores it as ``_m``.  The families stay separate
-    classes, unrelated by subclassing, because callers dispatch on them.
+    Values are reduced into [0, m) over Z/m and GF(p).  Z is the residue
+    ring Z/0: with ``_m`` 0 every method skips its reduction, and the packed
+    product works with signed fields.  Each subclass is a frozen dataclass:
+    IntegerRing sets ``_m = 0`` on the class, and ModularRing and
+    PrimeFieldRing validate their public field in __post_init__ and store
+    it as ``_m``.  The families stay separate classes, none subclassing
+    another, because callers dispatch on them.
     """
 
     _m: int
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    zero = 0
+    one = 1
 
     def canon(self, value):
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"integer value expected, got {value!r}")
-        return value % self._m
+        m = self._m
+        return value % m if m else value
 
     def canon_row(self, row) -> tuple:
         if not all_ints(row):
@@ -398,29 +355,33 @@ class _ResidueRing(Ring):
         m = self._m
         # a row already reduced, as emitted rows are, keeps its ints: no
         # division per entry and no second set of int objects
-        if row and 0 <= min(row) and max(row) < m:
+        if not m or row and 0 <= min(row) and max(row) < m:
             return tuple(row)
         return tuple([x % m for x in row])
 
     def scale_row(self, t, row) -> tuple:
         _bump(len(row), 0)
         m = self._m
-        return tuple([t * x % m for x in row])
+        return tuple([t * x % m for x in row] if m else [t * x for x in row])
 
     def add(self, a, b):
         _bump(0, 1)
-        return (a + b) % self._m
+        m = self._m
+        return (a + b) % m if m else a + b
 
     def neg(self, a):
-        return (-a) % self._m
+        m = self._m
+        return -a % m if m else -a
 
     def sub(self, a, b):
         _bump(0, 1)
-        return (a - b) % self._m
+        m = self._m
+        return (a - b) % m if m else a - b
 
     def mul(self, a, b):
         _bump(1, 0)
-        return (a * b) % self._m
+        m = self._m
+        return a * b % m if m else a * b
 
     def dot(self, xs, ys):
         # One deferred reduction per dot product; the products are exact
@@ -429,16 +390,28 @@ class _ResidueRing(Ring):
         if n == 0:
             return 0
         _bump(n, n - 1)
-        return sum(map(operator.mul, xs, ys)) % self._m
+        total = sum(map(operator.mul, xs, ys))
+        m = self._m
+        return total % m if m else total
 
     def matmul(self, a_rows, b_rows):
         k = len(b_rows)
-        if min(len(a_rows), k, len(b_rows[0])) < _RESIDUE_PACKED_FLOOR:
-            return super().matmul(a_rows, b_rows)
         m = self._m
-        # every exact sum is below k * (m-1)^2
-        width = (2 * (m - 1).bit_length() + k.bit_length() + 7) // 8
-        return _packed_product(a_rows, b_rows, width, m.__rmod__)
+        floor = _RESIDUE_PACKED_FLOOR if m else _INTEGER_PACKED_FLOOR
+        if min(len(a_rows), k, len(b_rows[0])) < floor:
+            return super().matmul(a_rows, b_rows)
+        flat = chain.from_iterable
+        return _packed_product(a_rows, b_rows, *_packed_layout(m, k, flat(a_rows), flat(b_rows)))
+
+
+@dataclass(frozen=True)
+class IntegerRing(_ResidueRing):
+    """The ring of integers (arbitrary precision), the residue ring Z/0."""
+
+    _m = 0
+
+    def __str__(self):
+        return "Z"
 
 
 @dataclass(frozen=True)
@@ -506,16 +479,8 @@ class PolynomialRing(Ring):
             raise ValueError(f"variable must be an identifier, got {self.var!r}")
         if _poly_depth(self) > 2:
             raise ValueError("polynomial nesting is capped at depth 2")
-        # the plain-int coefficient modulus: 0 over Z, m over Z/m and GF(p),
-        # None when the coefficients are polynomials themselves
-        base = self.base
-        if isinstance(base, IntegerRing):
-            modulus = 0
-        elif isinstance(base, _ResidueRing):
-            modulus = base._m
-        else:
-            modulus = None
-        object.__setattr__(self, "_coeff_mod", modulus)
+        # the plain-int coefficient modulus (0 over Z), None over polynomials
+        object.__setattr__(self, "_coeff_mod", getattr(self.base, "_m", None))
 
     @property
     def zero(self):
@@ -592,15 +557,14 @@ class PolynomialRing(Ring):
         Every entry is evaluated at x = X = 2^(8 w), so that each entry of
         the product is a polynomial C with C(X) = sum_k a_ik(X) b_kj(X), and
         the integer products come from _packed_fields with one w-byte field
-        per coefficient of C.  Coefficient t of C has at most k * min(la,
-        lb) terms, la and lb the longest entry lengths of a and b: over Z
-        each is at most k min(la, lb) max|a| max|b| in size and the fields
-        hold signed digits, lifted by half a field; over Z/m and GF(p) each
-        is at most k min(la, lb) (m-1)^2, and the digits are reduced mod m
-        and stripped.  Counts the loop's exact multiplications, sum over k of
-        (nonzero coefficients of column k of a) * (coefficients of row k of
-        b), and as many additions (see count_ops).  Depth 2 keeps the base
-        loop, whose inner ring multiplies on plain ints.
+        per coefficient of C.  Coefficient t of C sums at most k * min(la,
+        lb) coefficient products, la and lb the longest entry lengths of a
+        and b, so _packed_layout lays out its field as that of a plain-int
+        product with that many terms; over Z/m and GF(p) the coefficients
+        are then stripped.  Counts the loop's exact multiplications, sum
+        over k of (nonzero coefficients of column k of a) * (coefficients of
+        row k of b), and as many additions (see count_ops).  Depth 2 keeps
+        the base loop, whose inner ring multiplies on plain ints.
         """
         m = self._coeff_mod
         if m is None:
@@ -609,20 +573,15 @@ class PolynomialRing(Ring):
         ops = sum(map(operator.mul, nonzero, (sum(map(len, row)) for row in b_rows)))
         _bump(ops, ops)
         cols = len(b_rows[0])
-        la = max(map(len, chain.from_iterable(a_rows)))
-        lb = max(map(len, chain.from_iterable(b_rows)))
+        flat = chain.from_iterable
+        la = max(map(len, flat(a_rows)))
+        lb = max(map(len, flat(b_rows)))
         if not (la and lb):
             return tuple(((),) * cols for _ in a_rows)
         terms = len(b_rows) * min(la, lb)
-        if m:
-            width = (2 * (m - 1).bit_length() + terms.bit_length() + 7) // 8
-        else:
-            top_a = max(map(abs, chain.from_iterable(chain.from_iterable(a_rows))))
-            top_b = max(map(abs, chain.from_iterable(chain.from_iterable(b_rows))))
-            width = (top_a.bit_length() + top_b.bit_length() + terms.bit_length() + 8) // 8
-        width = _field_format(width)[0]
+        coeffs_a, coeffs_b = flat(flat(a_rows)), flat(flat(b_rows))
+        width, finish, shift, offset = _packed_layout(m, terms, coeffs_a, coeffs_b)
         bits = 8 * width
-        shift, offset = (0, 0) if m else (top_b, 1 << (bits - 1))
 
         def at_x(p):
             v = 0
@@ -632,9 +591,8 @@ class PolynomialRing(Ring):
 
         digits = la + lb - 1
         pad = (0,) * digits
-        b_fields = [list(chain.from_iterable([p + pad[len(p) :] for p in row])) for row in b_rows]
+        b_fields = [list(flat([p + pad[len(p) :] for p in row])) for row in b_rows]
         a_vals = [list(map(at_x, row)) for row in a_rows]
-        finish = m.__rmod__ if m else offset.__rsub__
         starts = range(0, digits * cols, digits)
         out = []
         for fields in _packed_fields(a_vals, b_fields, width, shift, offset):

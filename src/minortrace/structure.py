@@ -142,7 +142,7 @@ def _certify(a: Matrix) -> bool:
     ground, depth = ring, 0
     while isinstance(ground, PolynomialRing):
         ground, depth = ground.base, depth + 1
-    m = ground._m if isinstance(ground, _ResidueRing) else 0
+    m = ground._m
     contents = rows
     if depth and m:
         flat = chain.from_iterable if depth == 2 else iter
@@ -198,15 +198,15 @@ def _pivot_sweep(rows, p: int, q: int, ring: Ring) -> bool:
     if isinstance(ring, PolynomialRing):
         mul = ring.mul
         return all(mul(c, x) == mul(ri[q], y) for ri in rows for x, y in zip(ri, rp))
-    m = ring._m if isinstance(ring, _ResidueRing) else None
+    m = ring._m
     swept = 0
     for ri in rows:
         swept += 1
         u = ri[q]
-        if m is None:
-            broken = any(c * x - u * y for x, y in zip(ri, rp))
-        else:
+        if m:
             broken = any((c * x - u * y) % m for x, y in zip(ri, rp))
+        else:
+            broken = any(c * x - u * y for x, y in zip(ri, rp))
         if broken:
             break
     _bump(2 * len(rp) * swept, 0)  # the row that breaks counts in full
@@ -265,7 +265,7 @@ DEFAULT_ENTRY_BOUND = 9  # keeps integer test values hand-checkable
 
 def random_elem(rng: random.Random, ring: Ring, bound: int = DEFAULT_ENTRY_BOUND):
     """A random canonical raw value; integers bounded, residues uniform."""
-    if isinstance(ring, IntegerRing):
+    if isinstance(ring, IntegerRing):  # before _ResidueRing: Z is Z/0 there
         return rng.randint(-bound, bound)
     if isinstance(ring, _ResidueRing):
         return rng.randrange(ring._m)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from minortrace import ModularRing, gen_structured, random_matrix
+from minortrace import IntegerRing, ModularRing, gen_structured, random_matrix
 from minortrace.cli import main
 from minortrace.rings import _ResidueRing
 from minortrace.serialize import dumps, matrix_to_obj
@@ -79,7 +79,7 @@ def test_check_and_probe_match_the_full_decode(tmp_path_factory, obj):
 
 @pytest.fixture
 def converted(monkeypatch):
-    """Every row Ring.canon_row converts over Z/m and GF(p), in order."""
+    """Every row Ring.canon_row converts over Z, Z/m and GF(p), in order."""
     rows = []
     canon_row = _ResidueRing.canon_row
 
@@ -91,21 +91,28 @@ def converted(monkeypatch):
     return rows
 
 
+HEAD_RINGS = [ModularRing(2**61 - 1), IntegerRing()]
+
+
 @pytest.mark.parametrize("command", ["check", "probe"])
 def test_a_witness_in_rows_1_2_converts_only_those_rows(tmp_path, converted, command):
-    a = random_matrix(random.Random(11), ModularRing(2**61 - 1), 256, 256)
-    path = tmp_path / "random.json"
-    path.write_text(dumps(matrix_to_obj(a)))
-    code, _, _ = run_main([command, str(path)])
-    assert code == 1
-    assert converted == list(a.data[:2])
+    for ring in HEAD_RINGS:
+        converted.clear()
+        a = random_matrix(random.Random(11), ring, 256, 256)
+        path = tmp_path / "random.json"
+        path.write_text(dumps(matrix_to_obj(a)))
+        code, _, _ = run_main([command, str(path)])
+        assert code == 1
+        assert converted == list(a.data[:2])
 
 
 @pytest.mark.parametrize("command", ["check", "probe"])
 def test_a_structured_matrix_converts_every_row_once(tmp_path, converted, command):
-    a = gen_structured(11, ModularRing(2**61 - 1), 256)
-    path = tmp_path / "structured.json"
-    path.write_text(dumps(matrix_to_obj(a)))
-    code, _, _ = run_main([command, str(path)])
-    assert code == 0
-    assert converted == list(a.data)
+    for ring in HEAD_RINGS:
+        converted.clear()
+        a = gen_structured(11, ring, 256)
+        path = tmp_path / "structured.json"
+        path.write_text(dumps(matrix_to_obj(a)))
+        code, _, _ = run_main([command, str(path)])
+        assert code == 0
+        assert converted == list(a.data)

@@ -182,6 +182,57 @@ def test_count_ops_counts_a_dot_product():
     assert counts.mul == 3
 
 
+# Each plain-int ring with its modulus, 0 for Z
+PLAIN_INT_RINGS = [(INT, 0), (MOD4, 4), (ModularRing(12), 12), (GF5, 5), (ModularRing(2**61 - 1), 2**61 - 1)]
+PLAIN_INT_IDS = ["int", "mod4", "mod12", "gf5", "mod2^61-1"]
+
+
+@pytest.mark.parametrize("ring, m", PLAIN_INT_RINGS, ids=PLAIN_INT_IDS)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_plain_int_arithmetic_matches_python_ints(ring, m, data):
+    # Z, Z/m and GF(p) share one implementation that reduces mod m, or not at
+    # all over Z; every method and its documented op count against plain
+    # int arithmetic, on reduced, unreduced, negative and RingElem rows
+    def reduce(v):
+        return v % m if m else v
+
+    kind = data.draw(st.sampled_from(["reduced", "unreduced", "negative", "elem"]))
+    value = {
+        "reduced": st.integers(0, m - 1) if m else st.integers(-(2**100), 2**100),
+        "unreduced": st.integers(-(2**100), 2**100),
+        "negative": st.integers(-(2**100), -1),
+        "elem": st.integers(-(2**100), 2**100),
+    }[kind]
+    n = data.draw(st.integers(0, 6))
+    raw = data.draw(st.lists(value, min_size=n, max_size=n))
+    want = tuple(map(reduce, raw))
+    assert tuple(map(ring.canon, raw)) == want
+    row = [ring.elem(x) for x in raw] if kind == "elem" else raw
+    with count_ops() as ops:
+        xs = ring.canon_row(row)
+        assert xs == want
+        ys = ring.canon_row(data.draw(st.lists(value, min_size=n, max_size=n)))
+    assert (ops.mul, ops.add) == (0, 0)
+    t = ring.canon(data.draw(value))
+
+    def counted(fn, *args):
+        with count_ops() as ops:
+            out = fn(*args)
+        return out, (ops.mul, ops.add)
+
+    assert counted(ring.scale_row, t, xs) == (tuple(reduce(t * x) for x in xs), (n, 0))
+    assert counted(ring.dot, xs, ys) == (
+        reduce(sum(x * y for x, y in zip(xs, ys))),
+        (n, n - 1) if n else (0, 0),
+    )
+    for x, y in zip(xs, ys):
+        assert counted(ring.add, x, y) == (reduce(x + y), (0, 1))
+        assert counted(ring.sub, x, y) == (reduce(x - y), (0, 1))
+        assert counted(ring.neg, x) == (reduce(-x), (0, 0))
+        assert counted(ring.mul, x, y) == (reduce(x * y), (1, 0))
+
+
 def test_poly_zero_divisor_product_strips_leading_zero():
     ring = PolynomialRing(MOD4)
     two_x = ring.elem([0, 2])
