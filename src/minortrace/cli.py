@@ -162,13 +162,9 @@ def _cmd_verify(args) -> int:
     fast = structured_aba(a, b, check=False)
     slow = naive_aba(a, b)
     agree = fast == slow
-    _emit(
-        {
-            "fast": matrix_to_obj(fast),
-            "naive": matrix_to_obj(slow),
-            "agree": agree,
-        }
-    )
+    fast_obj = matrix_to_obj(fast)
+    # when they agree, one object under both keys is converted and written once
+    _emit({"fast": fast_obj, "naive": fast_obj if agree else matrix_to_obj(slow), "agree": agree})
     _note("fast and naive agree" if agree else "fast and naive differ")
     return 0 if agree else 1
 

@@ -396,6 +396,9 @@ class _ResidueRing(Ring):
 
     def matmul(self, a_rows, b_rows):
         k = len(b_rows)
+        if k == 1:  # an outer product: each row of it is the one row of b, scaled
+            scale_row, row = self.scale_row, b_rows[0]
+            return tuple([scale_row(r[0], row) for r in a_rows])
         m = self._m
         floor = _RESIDUE_PACKED_FLOOR if m else _INTEGER_PACKED_FLOOR
         if min(len(a_rows), k, len(b_rows[0])) < floor:

@@ -23,7 +23,12 @@ over the joined row and leaves it unconverted; a row that fails the pass
 is redone entry by entry, so errors read as the per-entry decode gives
 them, and a bad entry anywhere wins over a shape error.  Then canon_rows
 converts the rows asked for; matrix_from_obj asks for all of them.
-Matrices are emitted a row at a time.
+
+Matrices are emitted a row at a time: matrix_to_obj turns each row into
+decimal strings, and dumps writes a row of decimal strings with one join
+instead of one encoder step per entry.  A matrix under two keys of the
+value written (verify --both puts one matrix under "fast" and "naive"
+when they agree) is written once.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import chain
 
 from .bench import BenchResult
 from .matrices import Matrix, check_shape
@@ -52,9 +58,67 @@ class SerializeError(Exception):
     """Malformed or inconsistent serialized input."""
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_quote = json.encoder.encode_basestring_ascii  # a str as a JSON string, as _encode writes it
+_LIST_ONLY = frozenset([list])
+_STR_ONLY = frozenset([str])
+_MATRIX_KEYS = frozenset(["ring", "rows"])
+
+
 def dumps(obj) -> str:
-    """Canonical JSON: sorted keys, no whitespace variance."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON: byte-identical to json.dumps(obj, sort_keys=True, separators=(",", ":")).
+
+    A matrix object (exactly the keys "ring" and "rows") is written with
+    its rows joined: rows of decimal strings, as every Z, Z/m and GF(p)
+    matrix has, take one join per row instead of one encoder step per
+    entry.  Matrices are looked for in two places only: the value itself
+    and the values of its keys.  A matrix under two of those keys (the
+    same object) is written once and its text reused.  A value with no
+    matrix in those places (a verdict, a witness, decompose's factors, an
+    exhaust report) is one json.dumps call.
+    """
+    if _is_matrix(obj):
+        return _object_text(obj, _value_text)
+    if type(obj) is not dict or not _STR_ONLY.issuperset(map(type, obj)):
+        return _encode(obj)
+    # keyed by identity, so a matrix under two keys is written once
+    texts = {id(v): v for v in obj.values() if _is_matrix(v)}
+    if not texts:
+        return _encode(obj)
+    for key, matrix in texts.items():
+        texts[key] = _object_text(matrix, _value_text)
+    return _object_text(obj, lambda v: texts.get(id(v)) or _encode(v))
+
+
+def _is_matrix(obj) -> bool:
+    return type(obj) is dict and obj.keys() == _MATRIX_KEYS
+
+
+def _object_text(obj: dict, value_text) -> str:
+    """A str-keyed dict as canonical JSON, each value written by value_text."""
+    return "{" + ",".join([f"{_quote(k)}:{value_text(obj[k])}" for k in sorted(obj)]) + "}"
+
+
+def _value_text(value) -> str:
+    return _rows_text(value) or _encode(value)
+
+
+def _rows_text(rows) -> str | None:
+    """A list of rows as JSON, one join per row, or None where that does not apply.
+
+    It applies to a nonempty list of nonempty lists of strings made of
+    ASCII digits and minus signs, which JSON writes unescaped.
+    """
+    if not (type(rows) is list and rows and _LIST_ONLY.issuperset(map(type, rows)) and all(rows)):
+        return None
+    try:
+        entries = "".join(chain.from_iterable(rows))
+    except TypeError:  # not all strings
+        return None
+    # bytes.isdigit accepts exactly 0-9
+    if not (entries.isascii() and entries.encode().replace(b"-", b"").isdigit()):
+        return None
+    return '[["' + '"],["'.join(map('","'.join, rows)) + '"]]'
 
 
 def _over_limit(what: str, digits) -> SerializeError:
@@ -209,15 +273,23 @@ def _decimal_row(row: list) -> bool:
     # bytes.isdigit accepts exactly 0-9 and is false on b""
     if not (digits.isdigit() and all(row)):
         return False
-    if len(digits) < len(joined):
-        # every minus sign leads its entry, and no entry is a lone minus
-        marked = f",{','.join(row)},"
-        if marked.count(",-") != len(joined) - len(digits) or ",-," in marked:
-            return False
+    minus = len(joined) - len(digits)
     limit = sys.get_int_max_str_digits()
-    if limit and len(digits) > limit and max(map(len, row)) > limit:
-        # only a minus sign may take an entry one past the limit
-        return all(len(x) - (x[0] == "-") <= limit for x in row)
+    capped = limit and len(digits) > limit
+    if not (minus or capped):
+        return True
+    marked = f",{','.join(row)},"
+    # every minus sign leads its entry, and no entry is a lone minus
+    if minus and (marked.count(",-") != minus or ",-," in marked):
+        return False
+    if capped:
+        # an entry longer than the limit covers a whole stretch of step
+        # characters, so the entries are measured only when some stretch
+        # of the marked row holds no comma
+        step = (limit + 1) // 2
+        if any(marked.find(",", i, i + step) < 0 for i in range(0, len(marked), step)):
+            # only a minus sign may take an entry one past the limit
+            return all(len(x) - (x[0] == "-") <= limit for x in row)
     return True
 
 

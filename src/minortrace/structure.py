@@ -147,16 +147,19 @@ def _certify(a: Matrix) -> bool:
     if depth and m:
         flat = chain.from_iterable if depth == 2 else iter
         contents = [[gcd(m, *flat(x)) for x in row] for row in rows]
+    if m:
+        # a common factor g > 1 of the contents rules out every pivot, so it
+        # is taken first, in one C-level call
+        g = gcd(m, *chain.from_iterable(contents))
+        if g > 1:
+            m2 = m // gcd(g * g, m)
+            return m2 == 1 or _certify(_reduce(rows, g, ring, m2))
     for p, row in enumerate(contents):
         for q, x in enumerate(row):
             if x and (not m or gcd(x, m) == 1):
                 return _pivot_sweep(rows, p, q, ring)
     if not m:
         return True  # the zero matrix
-    g = gcd(m, *chain.from_iterable(contents))
-    if g > 1:
-        m2 = m // gcd(g * g, m)
-        return m2 == 1 or _certify(_reduce(rows, g, ring, m2))
     # no regular entry and no common factor: every content shares some
     # prime with m, and some content misses a prime of m (else rad(m) would
     # divide g)

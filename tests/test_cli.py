@@ -11,6 +11,7 @@ import pytest
 
 import minortrace
 from minortrace import Matrix, ModularRing, PolynomialRing, count_ops, outer
+from minortrace import cli
 from minortrace.cli import main
 from minortrace.serialize import dumps, matrix_from_obj, matrix_to_obj
 from support import INT
@@ -76,6 +77,28 @@ def test_verify_both_agreement(files, capsys):
     assert code == 0
     assert payload["agree"] is True
     assert payload["fast"]["rows"] == [["69", "92"], ["138", "184"]]
+
+
+@pytest.mark.parametrize("a_rows, agree", [([[3, 4], [6, 8]], True), ([[1, 2], [3, 4]], False)])
+def test_verify_both_converts_an_agreed_result_once(tmp_path, capsys, monkeypatch, a_rows, agree):
+    a = Matrix.from_rows(INT, a_rows)
+    b = Matrix.from_rows(INT, [[1, 2], [0, 1]])
+    a_file = write_matrix(tmp_path / "a.json", a_rows)
+    b_file = write_matrix(tmp_path / "b.json", [[1, 2], [0, 1]])
+    real = cli.matrix_to_obj
+    converted = []
+    monkeypatch.setattr(cli, "matrix_to_obj", lambda m: converted.append(m) or real(m))
+    code = main(["verify", a_file, b_file, "--both"])
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert code == (0 if agree else 1)
+    assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert payload == {
+        "agree": agree,
+        "fast": matrix_to_obj(a.scale((a @ b).trace())),
+        "naive": matrix_to_obj(a @ b @ a),
+    }
+    assert len(converted) == (1 if agree else 2)
 
 
 def test_verify_naive_violation(files, capsys):

@@ -14,18 +14,27 @@ from minortrace import (
     ModularRing,
     PolynomialRing,
     PrimeFieldRing,
+    check_vanishing_minors,
+    decompose,
+    exhaustive_characterization,
+    probe_converse,
     random_matrix,
 )
+from minortrace import serialize
 from minortrace.serialize import (
     SerializeError,
     _checked_int_row,
     dumps,
+    equivalence_report_to_obj,
+    factors_to_obj,
     loads,
     matrix_from_obj,
     matrix_to_obj,
     parse_ring_spec,
+    probe_report_to_obj,
     ring_from_obj,
     ring_to_obj,
+    verdict_to_obj,
 )
 from support import (
     ALL_RINGS,
@@ -272,3 +281,103 @@ def test_row_check_takes_exactly_the_rows_int_takes(limit):
         check()
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+@pytest.mark.parametrize("filler", ["12345678", "-1234567"])
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("past", [0, 1])
+@pytest.mark.parametrize("at", [0, 40, -1])
+def test_row_check_at_the_digit_limit(limit, filler, sign, past, at):
+    """An entry of exactly the limit's digits passes and one digit more
+    raises, with or without a minus sign, among short entries whose digits
+    together pass the limit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        row = [filler] * (limit // 7 + 1)
+        long = sign + "7" * (limit + past)
+        row.insert(at % (len(row) + 1), long)
+        if past:
+            with pytest.raises(SerializeError, match=f"^element: {limit + 1} digits"):
+                _checked_int_row(row)
+        else:
+            assert _checked_int_row(row) is row
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _json_dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+DECIMALS = st.text(alphabet="-0123456789", max_size=4)
+ODD_STRINGS = st.text(alphabet='07-"\\\x00\x1f\x7f é \ud800', max_size=3)
+ROW_ENTRIES = st.one_of(
+    DECIMALS,
+    ODD_STRINGS,
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.lists(DECIMALS, max_size=3),  # a polynomial entry
+)
+ROWS = st.one_of(
+    st.lists(st.lists(DECIMALS, min_size=1, max_size=4), max_size=4),
+    st.lists(st.lists(DECIMALS | ODD_STRINGS, min_size=1, max_size=4), min_size=1, max_size=4),
+    st.lists(st.lists(ROW_ENTRIES, max_size=4), max_size=4),  # empty, ragged and mixed rows
+    JSON_VALUES,
+)
+
+
+@st.composite
+def emitted_values(draw):
+    matrix = {"ring": draw(st.sampled_from(RING_OBJS)), "rows": draw(ROWS)}
+    if draw(st.booleans()):
+        matrix[draw(st.text(max_size=3))] = draw(JSON_VALUES)
+    shape = draw(st.sampled_from(["matrix", "report", "nested", "other"]))
+    if shape == "matrix":
+        return matrix
+    if shape == "report":  # one matrix object under two keys, as verify --both writes it
+        keys = draw(st.lists(st.text(max_size=3), min_size=2, max_size=4, unique=True))
+        report = {key: draw(JSON_VALUES) for key in keys}
+        report[keys[0]] = report[keys[-1]] = matrix
+        return report
+    if shape == "nested":
+        return {"factors": {"col": matrix, "row": matrix}, "mismatches": [matrix]}
+    return draw(JSON_VALUES)
+
+
+@given(value=emitted_values())
+@settings(max_examples=500, deadline=None)
+def test_dumps_is_byte_identical_to_json_dumps(value):
+    assert dumps(value) == _json_dumps(value)
+
+
+def test_a_matrix_under_two_keys_is_row_joined_once(monkeypatch):
+    m = matrix_to_obj(random_matrix(random.Random(3), ModularRing(2**61 - 1), 12, 12))
+    report = {"fast": m, "naive": m, "agree": True}
+    real = serialize._rows_text
+    joined = []
+    monkeypatch.setattr(serialize, "_rows_text", lambda rows: joined.append(rows) or real(rows))
+    assert dumps(report) == _json_dumps(report)
+    assert [rows for rows in joined if rows is m["rows"]] == [m["rows"]]
+    assert real(m["rows"]) is not None  # decimal rows take the join
+
+
+def test_reports_without_a_matrix_at_the_top_are_one_encoder_call(monkeypatch):
+    ring = IntegerRing()
+    a = Matrix.from_rows(ring, [[1, 2], [3, 4]])
+    reports = [
+        verdict_to_obj(ring, check_vanishing_minors(a)),  # its witness has "rows" and "cols"
+        probe_report_to_obj(ring, probe_converse(a)),
+        factors_to_obj(decompose(Matrix.from_rows(ring, [[2, 4], [3, 6]]))),
+        equivalence_report_to_obj(exhaustive_characterization(ModularRing(2), 2)),
+    ]
+    real = serialize._encode
+    calls = []
+    monkeypatch.setattr(serialize, "_encode", lambda value: calls.append(value) or real(value))
+    for report in reports:
+        calls.clear()
+        assert dumps(report) == _json_dumps(report)
+        assert calls == [report]
