@@ -147,17 +147,18 @@ def _certify(a: Matrix) -> bool:
     if depth and m:
         flat = chain.from_iterable if depth == 2 else iter
         contents = [[gcd(m, *flat(x)) for x in row] for row in rows]
-    if m:
-        # a common factor g > 1 of the contents rules out every pivot, so it
-        # is taken first, in one C-level call
-        g = gcd(m, *chain.from_iterable(contents))
-        if g > 1:
-            m2 = m // gcd(g * g, m)
-            return m2 == 1 or _certify(_reduce(rows, g, ring, m2))
     for p, row in enumerate(contents):
         for q, x in enumerate(row):
             if x and (not m or gcd(x, m) == 1):
                 return _pivot_sweep(rows, p, q, ring)
+        if p == 0 and m:
+            # row 0 holds no pivot; a common factor g > 1 of the contents
+            # rules out every other one, so it is taken next, in one C-level
+            # call (a regular entry in row 0 would have forced g = 1)
+            g = gcd(m, *chain.from_iterable(contents))
+            if g > 1:
+                m2 = m // gcd(g * g, m)
+                return m2 == 1 or _certify(_reduce(rows, g, ring, m2))
     if not m:
         return True  # the zero matrix
     # no regular entry and no common factor: every content shares some
@@ -285,8 +286,25 @@ def random_matrix(
     cols: int,
     bound: int = DEFAULT_ENTRY_BOUND,
 ) -> Matrix:
+    """A random rows x cols matrix of random_elem values, in row-major order.
+
+    A seed gives the same matrix as random_elem called per entry, and leaves
+    rng in the same state.  Over Z, Z/m and GF(p) the ring is resolved once
+    and each row is one comprehension over rng._randbelow, the one call that
+    randrange(m) and randint(-bound, bound) make per entry.  Polynomial
+    rings, and a bound over Z that is negative or not an int, draw per
+    entry through random_elem (and raise its errors).
+    """
     if rows < 1 or cols < 1:
         raise ShapeMismatch("matrix dimensions must be at least 1x1")
+    if isinstance(ring, _ResidueRing) and (ring._m or (isinstance(bound, int) and bound >= 0)):
+        below, m = rng._randbelow, ring._m
+        if m:
+            data = tuple(tuple([below(m) for _ in range(cols)]) for _ in range(rows))
+        else:
+            width = 2 * bound + 1
+            data = tuple(tuple([below(width) - bound for _ in range(cols)]) for _ in range(rows))
+        return Matrix(ring, data)
     return Matrix(
         ring,
         tuple(

@@ -33,7 +33,7 @@ from minortrace.serialize import (
     ring_from_obj,
     verdict_to_obj,
 )
-from minortrace.structure import _scan_minors, check_vanishing_minors
+from minortrace.structure import DEFAULT_ENTRY_BOUND, _scan_minors, check_vanishing_minors, random_elem
 
 INT = IntegerRing()
 MOD4 = ModularRing(4)
@@ -76,6 +76,15 @@ def rand_structured(rng: random.Random, ring, n: int, allow_nilscalar=True) -> M
     ):
         return gen_structured(rng.getrandbits(32), ring, n, "nilscalar")
     return gen_structured(rng.getrandbits(32), ring, n, "outer")
+
+
+def random_matrix_per_entry(rng: random.Random, ring, rows: int, cols: int,
+                            bound: int = DEFAULT_ENTRY_BOUND) -> Matrix:
+    """Reference random_matrix: one random_elem call per entry, in row-major order."""
+    return Matrix(
+        ring,
+        tuple(tuple(random_elem(rng, ring, bound) for _ in range(cols)) for _ in range(rows)),
+    )
 
 
 def all_minors_naive(a: Matrix):

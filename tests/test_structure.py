@@ -27,7 +27,17 @@ from minortrace import (
     random_matrix,
 )
 from minortrace.structure import _certify, _scan_minors
-from support import ALL_RINGS, GF5, INT, MOD4, RING_IDS, all_minors_naive, matrices, raw_values
+from support import (
+    ALL_RINGS,
+    GF5,
+    INT,
+    MOD4,
+    RING_IDS,
+    all_minors_naive,
+    matrices,
+    random_matrix_per_entry,
+    raw_values,
+)
 
 
 def mat(rows, ring=INT):
@@ -243,6 +253,50 @@ def test_gen_structured_nilscalar():
         gen_structured(0, INT, 2, "nilscalar")
     with pytest.raises(ValueError):
         gen_structured(0, INT, 2, "bogus")
+
+
+DRAW_CASES = [
+    (INT, 0), (INT, 1), (INT, 9), (INT, 100),
+    (ModularRing(2), 9), (ModularRing(12), 9), (ModularRing(2**61 - 1), 9),
+    (PrimeFieldRing(65537), 9), (PolynomialRing(INT), 9), (PolynomialRing(MOD4), 9),
+]
+DRAW_IDS = ["int-b0", "int-b1", "int-b9", "int-b100", "mod2", "mod12", "mod2^61-1",
+            "gf65537", "polyint", "polymod4"]
+
+
+@pytest.mark.parametrize("ring,bound", DRAW_CASES, ids=DRAW_IDS)
+def test_random_matrix_draws_like_random_elem_per_entry(ring, bound):
+    for seed in range(20):
+        for rows, cols in [(1, 1), (1, 7), (7, 1), (5, 3), (64, 64)]:
+            rng, ref = random.Random(seed), random.Random(seed)
+            a = random_matrix(rng, ring, rows, cols, bound)
+            want = random_matrix_per_entry(ref, ring, rows, cols, bound)
+            assert a == want and a.data == want.data
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("ring", [INT, PolynomialRing(INT)], ids=["int", "polyint"])
+def test_random_matrix_negative_bound_raises_like_random_elem(ring):
+    for bound in (-1, -5):
+        with pytest.raises(ValueError) as got:
+            random_matrix(random.Random(0), ring, 2, 3, bound)
+        with pytest.raises(ValueError) as want:
+            random_matrix_per_entry(random.Random(0), ring, 2, 3, bound)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("ring,bound", DRAW_CASES, ids=DRAW_IDS)
+def test_gen_structured_draws_like_random_elem_per_entry(ring, bound):
+    s = find_nilpotent_scalar(ring)
+    for seed in range(20):
+        for n in (1, 2, 5, 16):
+            rng = random.Random(seed)
+            want = outer(random_matrix_per_entry(rng, ring, n, 1, bound),
+                         random_matrix_per_entry(rng, ring, 1, n, bound))
+            assert gen_structured(seed, ring, n, "outer", bound).data == want.data
+            if s is not None:
+                want = random_matrix_per_entry(random.Random(seed), ring, n, n, bound).scale(s)
+                assert gen_structured(seed, ring, n, "nilscalar", bound).data == want.data
 
 
 def test_find_nilpotent_scalar():
