@@ -73,9 +73,7 @@ from .oracle import (
     EquivalenceReport,
     TooLargeToEnumerate,
     exhaustive_characterization,
-    iter_all_matrices,
     universal_identity_by_enumeration,
-    universal_identity_via_probes,
     verify_identity,
 )
 from .bench import BenchResult, run_bench

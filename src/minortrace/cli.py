@@ -47,6 +47,7 @@ from .serialize import (
     verdict_to_obj,
 )
 from .structure import (
+    DEFAULT_ENTRY_BOUND,
     MinorWitness,
     NoNilpotentScalar,
     StructureVerdict,
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["outer", "nilscalar"], default="outer")
-    p.add_argument("--bound", type=int, default=9)
+    p.add_argument("--bound", type=int, default=DEFAULT_ENTRY_BOUND)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="time the fast kernel against the naive oracle")

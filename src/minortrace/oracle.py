@@ -4,8 +4,10 @@ The decisive cross-check: enumerate every n x n matrix over Z/m, classify
 each one by (a) whether A B A = Tr(AB) A holds for every B and (b) whether
 all 2x2 minors vanish, and confirm the two classifications coincide.  The
 for-every-B side is decided by probing the n^2 unit matrices, which is
-provably equivalent to the full quantifier; periodic full-B spot checks
-keep that shortcut honest.
+provably equivalent to the full quantifier: the probe with its unit at
+(l, j) reduces to col_l(A) row_j(A) = a_jl A, and if all of those hold,
+every minor vanishes and the identity follows for arbitrary B.  Periodic
+full-B spot checks keep that shortcut honest.
 
 The sweep and its spot checks run bit-parallel over Z: many matrices are
 packed into one integer, one fixed-width field per matrix, and a form
@@ -18,19 +20,20 @@ tries every B: the m^(n^2-1) matrices B that share a first entry go into
 one n x n integer matrix, and a single residual over Z holds all of their
 residuals, with fields in [-n^2 (m-1)^3, n^2 (m-1)^3].  Either way, adding
 the least multiple of m at or above the bound lifts every field above zero
-without changing it mod m, and fields of the smallest of 1, 2, 4 or 8 bytes
-that hold twice that offset never carry into each other.
+without changing it mod m, and fields that hold twice that offset never
+carry into each other.  The field width, the repunit and the decode of a
+packed integer into its fields come from the packed-field codec in rings.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 
 from .kernels import _square_pair
 from .matrices import Matrix, NotSquare, TooSmall
-from .rings import IntegerRing, ModularRing, PrimeFieldRing, Ring, _bump
+from .rings import IntegerRing, ModularRing, PrimeFieldRing, Ring
+from .rings import _bump, _field_format, _repunit, _unpack
 
 
 class TooLargeToEnumerate(Exception):
@@ -56,30 +59,6 @@ def verify_identity(
     return aba - a.scale(ab.trace())
 
 
-def universal_identity_via_probes(a: Matrix) -> bool:
-    """Decide whether A B A = Tr(AB) A holds for EVERY B, via n^2 probes.
-
-    Testing only the unit matrices suffices: the probe at (l, j) reduces to
-    col_l(A) @ row_j(A) = a[j][l] * A, and if all of those hold, every minor
-    vanishes and the identity follows for arbitrary B.
-    """
-    if not a.is_square:
-        raise NotSquare(f"square matrix required, got {a.rows}x{a.cols}")
-    scale_row = a.ring.scale_row
-    d = a.data
-    n = a.rows
-    for l in range(n):
-        for j in range(n):
-            s = d[j][l]
-            dj = d[j]
-            # row x of the probe's two sides, a[x][l] * row_j(A) and
-            # a[j][l] * row_x(A); at x = j they are the same product
-            for x in range(n):
-                if x != j and scale_row(d[x][l], dj) != scale_row(s, d[x]):
-                    return False
-    return True
-
-
 def _enumerable_values(ring: Ring, n: int) -> range:
     if not isinstance(ring, (ModularRing, PrimeFieldRing)):
         raise TooLargeToEnumerate(f"{ring} is not a finite enumerable ring")
@@ -92,29 +71,15 @@ def _enumerable_values(ring: Ring, n: int) -> range:
     return range(m)
 
 
-def iter_all_matrices(ring: Ring, n: int):
-    """Every n x n matrix over a small finite ring, in lexicographic order."""
-    values = _enumerable_values(ring, n)
-    for entries in itertools.product(values, repeat=n * n):
-        yield Matrix(ring, tuple(entries[r * n : (r + 1) * n] for r in range(n)))
+def _packing(bound: int, m: int):
+    """(offset, width, typecode) for packed values in [-bound, bound], decided mod m.
 
-
-_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # field width -> memoryview format
-
-
-def _packing(bound: int, m: int, count: int):
-    """Field layout for count packed values in [-bound, bound], decided mod m.
-
-    offset is the least multiple of m at or above bound, and the width the
-    smallest of 1, 2, 4 or 8 bytes whose fields hold 2 offset, so a value
-    plus offset is nonnegative, fits its field, and is 0 mod m exactly when
-    the value is.  Returns (width, memoryview format, lift, repunit): the
-    repunit has a 1 in every field and the lift is offset times it.
+    offset is the least multiple of m at or above bound, and the fields hold
+    2 offset, so a value plus offset is nonnegative, fits its field, and is
+    0 mod m exactly when the value is.
     """
     offset = -(-bound // m) * m
-    width = next(w for w in _FIELD_FORMATS if 2 * offset < 256**w)
-    repunit = int.from_bytes((1).to_bytes(width, "little") * count, "little")
-    return width, _FIELD_FORMATS[width], offset * repunit, repunit
+    return (offset, *_field_format(((2 * offset).bit_length() + 7) // 8))
 
 
 def _packed_digits(m: int, k: int, width: int) -> list[int]:
@@ -155,8 +120,9 @@ def universal_identity_by_enumeration(a: Matrix) -> bool:
     values = _enumerable_values(a.ring, n)
     m = len(values)
     count = m ** (n * n - 1)  # B per first entry
-    width, fmt, lift, repunit = _packing(n * n * (m - 1) ** 3, m, count)
-    size = width * count
+    offset, width, code = _packing(n * n * (m - 1) ** 3, m)
+    repunit = _repunit(width, count)
+    lift = offset * repunit
     rest = _packed_digits(m, n * n - 1, width)
     integers = IntegerRing()
     a_z = Matrix(integers, a.data)
@@ -165,9 +131,7 @@ def universal_identity_by_enumeration(a: Matrix) -> bool:
         p = Matrix(integers, tuple(tuple(entries[k * n : (k + 1) * n]) for k in range(n)))
         for row in verify_identity(a_z, p).data:
             for x in row:
-                # native byte order, the order cast reads a field in
-                view = memoryview((x + lift).to_bytes(size, sys.byteorder)).cast(fmt)
-                if any(map(m.__rmod__, view)):
+                if any(map(m.__rmod__, _unpack(x + lift, width, code, count))):
                     return False
     return True
 
@@ -247,10 +211,8 @@ def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
     values = _enumerable_values(ring, n)
     m = len(values)
     block = m**n  # matrices per block: A's last row runs through values
-    width, fmt, lift, _ = _packing((m - 1) ** 2, m, block)
-    size = width * block
-    order = sys.byteorder
-    from_bytes = int.from_bytes
+    offset, width, code = _packing((m - 1) ** 2, m)
+    lift = offset * _repunit(width, block)
     all_fail = b"\x01" * block
 
     def decide(const, packed):
@@ -264,10 +226,10 @@ def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
         forms.discard(0)
         flags = 0
         for x in forms:
-            # native byte order both ways, so byte t of flags is field t's
-            # residue, which fits a byte: the budget keeps m below 32
-            view = memoryview((x + lift).to_bytes(size, order)).cast(fmt)
-            flags |= from_bytes(bytes(map(m.__rmod__, view)), order)
+            # byte t of flags is field t's residue, which fits a byte: the
+            # budget keeps m below 32
+            fields = _unpack(x + lift, width, code, block)
+            flags |= int.from_bytes(bytes(map(m.__rmod__, fields)), "little")
         return flags.to_bytes(block, "little").translate(_ONE_IF_NONZERO)
 
     # forms per block, two multiplications and a subtraction each: minors

@@ -132,7 +132,7 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Packed matrix product (Kronecker substitution)
+# Packed fields (Kronecker substitution), one codec shared with the oracle
 
 # Products with any dimension below these use the plain dot loop: packing
 # costs O(k * cols) and pays off only across many rows, and a single
@@ -147,7 +147,7 @@ _WORD_CODES = {array(code).itemsize: code for code in "QLIHB"} if sys.byteorder 
 
 
 def _field_format(width):
-    """The width a packed product uses for fields of width bytes, and its typecode.
+    """The width packed fields of width bytes take, and its typecode.
 
     A width of at most 8 bytes rounds up to the next array item size, whose
     fields pack and unpack in C; a wider one stays as it is, typecode None.
@@ -158,6 +158,24 @@ def _field_format(width):
     return width, None
 
 
+def _repunit(width, count):
+    """The integer with a 1 in each of count fields of width bytes."""
+    return int.from_bytes(b"\x01".ljust(width, b"\x00") * count, "little")
+
+
+def _unpack(x, width, code, count):
+    """The count fields of a nonnegative int x, low field first.
+
+    code is _field_format's typecode for width: the fields are cast in C
+    when there is one, and cut from the bytes one by one when it is None.
+    """
+    buf = x.to_bytes(width * count, "little")
+    if code:
+        return memoryview(buf).cast(code)
+    from_bytes = int.from_bytes
+    return [from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
+
+
 def _packed_fields(a_rows, b_rows, width, shift=0, offset=0):
     """Fields of the rows of a @ b over the integers, one big-integer sum per row.
 
@@ -166,10 +184,10 @@ def _packed_fields(a_rows, b_rows, width, shift=0, offset=0):
     (j + 1) * width) counted from the low end.  The sum of a[i][k] times
     packed row k then holds entry (i, j) of the product in field j.  The
     shift is taken back and offset added per field in one product with the
-    repunit 1 + 2^(8 width) + 2^(16 width) + ..., and the fields of each row
-    are yielded as a sequence of nonnegative ints, entry plus offset.  Exact
-    when every entry plus offset lies in [0, 2^(8 width)) and every shifted
-    b entry fits one field; _field_format may widen the fields first.
+    repunit, and the fields of each row are yielded as a sequence of
+    nonnegative ints, entry plus offset.  Exact when every entry plus offset
+    lies in [0, 2^(8 width)) and every shifted b entry fits one field;
+    _field_format may widen the fields first.
     """
     width, code = _field_format(width)
     cols = len(b_rows[0])
@@ -184,30 +202,12 @@ def _packed_fields(a_rows, b_rows, width, shift=0, offset=0):
         packed = [
             from_bytes(b"".join(map(int.to_bytes, row, lengths, order)), "little") for row in b_rows
         ]
-    repunit = from_bytes(b"\x01".ljust(width, b"\x00") * cols, "little")
-    size = width * cols
-    starts = range(0, size, width)
+    repunit = _repunit(width, cols)
     for row in a_rows:
         total = sum(map(operator.mul, row, packed))
         if shift or offset:
             total += (offset - shift * sum(row)) * repunit
-        buf = total.to_bytes(size, "little")
-        if code:
-            yield memoryview(buf).cast(code)
-        else:
-            yield [from_bytes(buf[i : i + width], "little") for i in starts]
-
-
-def _packed_product(a_rows, b_rows, width, finish, shift=0, offset=0):
-    """Rows of a @ b from _packed_fields, finish mapping each field to its entry.
-
-    Reports the logical dot-product op counts to count_ops() in bulk.
-    """
-    k = len(b_rows)
-    cols = len(b_rows[0])
-    _bump(len(a_rows) * cols * k, len(a_rows) * cols * (k - 1))
-    rows = _packed_fields(a_rows, b_rows, width, shift, offset)
-    return tuple(tuple(map(finish, fields)) for fields in rows)
+        yield _unpack(total, width, code, cols)
 
 
 def _packed_layout(m, terms, a_values, b_values):
@@ -401,10 +401,14 @@ class _ResidueRing(Ring):
             return tuple([scale_row(r[0], row) for r in a_rows])
         m = self._m
         floor = _RESIDUE_PACKED_FLOOR if m else _INTEGER_PACKED_FLOOR
-        if min(len(a_rows), k, len(b_rows[0])) < floor:
+        cols = len(b_rows[0])
+        if min(len(a_rows), k, cols) < floor:
             return super().matmul(a_rows, b_rows)
+        _bump(len(a_rows) * cols * k, len(a_rows) * cols * (k - 1))
         flat = chain.from_iterable
-        return _packed_product(a_rows, b_rows, *_packed_layout(m, k, flat(a_rows), flat(b_rows)))
+        width, finish, shift, offset = _packed_layout(m, k, flat(a_rows), flat(b_rows))
+        rows = _packed_fields(a_rows, b_rows, width, shift, offset)
+        return tuple(tuple(map(finish, fields)) for fields in rows)
 
 
 @dataclass(frozen=True)

@@ -93,8 +93,8 @@ def check_vanishing_minors(a: Matrix) -> StructureVerdict:
 def _scan_minors(a: Matrix) -> StructureVerdict:
     """Scan all 2x2 minors in lexicographic order; O(n^4) on a yes answer.
 
-    This is the witness finder behind check_vanishing_minors and, called
-    directly, the oracle's independent minor-side reference.
+    This is the witness finder behind check_vanishing_minors; the tests'
+    per-matrix exhaust calls it directly as its minor-side reference.
     """
     ring = a.ring
     zero = ring.zero

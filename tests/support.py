@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -11,17 +12,16 @@ from minortrace import (
     IntegerRing,
     Matrix,
     ModularRing,
+    NotSquare,
     PolynomialRing,
     PrimeFieldRing,
     ShapeMismatch,
     find_nilpotent_scalar,
     gen_structured,
-    iter_all_matrices,
-    universal_identity_via_probes,
     verify_identity,
 )
 from minortrace.cli import _INPUT_ERRORS
-from minortrace.oracle import MISMATCH_CAP, EquivalenceReport
+from minortrace.oracle import MISMATCH_CAP, EquivalenceReport, _enumerable_values
 from minortrace.probe import probe_converse
 from minortrace.serialize import (
     SerializeError,
@@ -162,6 +162,37 @@ def check_or_probe_full_decode(command: str, text: str) -> tuple[int, str, str]:
     except _INPUT_ERRORS as exc:
         return 2, "", f"error: {exc}\n"
     return code, dumps(out) + "\n", note + "\n"
+
+
+def iter_all_matrices(ring, n: int):
+    """Every n x n matrix over a small finite ring, in lexicographic order."""
+    values = _enumerable_values(ring, n)
+    for entries in itertools.product(values, repeat=n * n):
+        yield Matrix(ring, tuple(entries[r * n : (r + 1) * n] for r in range(n)))
+
+
+def universal_identity_via_probes(a: Matrix) -> bool:
+    """Reference for-every-B decision via the n^2 unit probes, one matrix at a time.
+
+    Testing only the unit matrices suffices: the probe at (l, j) reduces to
+    col_l(A) @ row_j(A) = a[j][l] * A, and if all of those hold, every minor
+    vanishes and the identity follows for arbitrary B.
+    """
+    if not a.is_square:
+        raise NotSquare(f"square matrix required, got {a.rows}x{a.cols}")
+    scale_row = a.ring.scale_row
+    d = a.data
+    n = a.rows
+    for l in range(n):
+        for j in range(n):
+            s = d[j][l]
+            dj = d[j]
+            # row x of the probe's two sides, a[x][l] * row_j(A) and
+            # a[j][l] * row_x(A); at x = j they are the same product
+            for x in range(n):
+                if x != j and scale_row(d[x][l], dj) != scale_row(s, d[x]):
+                    return False
+    return True
 
 
 def universal_identity_per_b(a: Matrix) -> bool:

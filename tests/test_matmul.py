@@ -168,13 +168,18 @@ def test_packed_native_and_bytes_paths_agree_at_each_width(width, monkeypatch):
         (unsigned_a, unsigned_b, int, 0, 0),
         (signed_a, signed_b, half.__rsub__, tb, half),
     ]
+
+    def packed(a, b, finish, shift, offset):
+        rows = rings._packed_fields(a, b, width, shift, offset)
+        return tuple(tuple(map(finish, fields)) for fields in rows)
+
     for a, b, finish, shift, offset in cases:
         want = Ring.matmul(INT, a, b)
-        native = rings._packed_product(a, b, width, finish, shift, offset)
+        native = packed(a, b, finish, shift, offset)
         with monkeypatch.context() as patch:
             patch.setattr(rings, "_WORD_CODES", {})
             assert rings._field_format(width) == (width, None)
-            wide = rings._packed_product(a, b, width, finish, shift, offset)
+            wide = packed(a, b, finish, shift, offset)
         assert native == wide == want
     # the extremes are reached: unsigned fields 0 and top, signed entries +-(half - 1)
     assert {0, top} <= set(Ring.matmul(INT, unsigned_a, unsigned_b)[0])

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import os
 import random
 import subprocess
@@ -15,18 +17,18 @@ from minortrace import (
     check_vanishing_minors,
     count_ops,
     exhaustive_characterization,
-    iter_all_matrices,
     random_matrix,
     universal_identity_by_enumeration,
-    universal_identity_via_probes,
     verify_identity,
 )
-from minortrace import oracle
+from minortrace import kernels, oracle, rings, structure
 from support import (
     INT,
     exhaustive_characterization_per_matrix,
+    iter_all_matrices,
     rand_structured,
     universal_identity_per_b,
+    universal_identity_via_probes,
 )
 
 
@@ -98,15 +100,20 @@ def test_packed_full_b_check_equals_per_b_on_a_sample(ring):
         assert universal_identity_by_enumeration(a) == universal_identity_per_b(a)
 
 
-def test_packed_full_b_check_at_the_widest_fields():
+def test_packed_full_b_check_at_the_widest_fields(monkeypatch):
     # Z/31 at n = 2 is the largest modulus the budget enumerates, so its
-    # residual fields, up to 4 * 30^3 in size, need the widest packing
+    # residual fields, up to 4 * 30^3 in size, need the widest packing: 4
+    # bytes with word codes, 3 unrounded bytes cut from the bytes without
     ring = ModularRing(31)
-    assert universal_identity_by_enumeration(mat([[30, 30], [30, 30]], ring))
-    # det = 30 * 25 - 29 * 28 = -62: structured mod 31, not over Z
-    assert universal_identity_by_enumeration(mat([[30, 29], [28, 25]], ring))
-    assert not universal_identity_by_enumeration(mat([[30, 30], [30, 29]], ring))
-    assert not universal_identity_by_enumeration(mat([[1, 0], [0, 30]], ring))
+    for word_codes in (True, False):
+        with monkeypatch.context() as patch:
+            if not word_codes:
+                patch.setattr(rings, "_WORD_CODES", {})
+            assert universal_identity_by_enumeration(mat([[30, 30], [30, 30]], ring))
+            # det = 30 * 25 - 29 * 28 = -62: structured mod 31, not over Z
+            assert universal_identity_by_enumeration(mat([[30, 29], [28, 25]], ring))
+            assert not universal_identity_by_enumeration(mat([[30, 30], [30, 29]], ring))
+            assert not universal_identity_by_enumeration(mat([[1, 0], [0, 30]], ring))
 
 
 def test_packed_full_b_check_multiplication_count():
@@ -149,11 +156,19 @@ def test_spot_check_catches_a_wrong_probe_decision(monkeypatch):
 SWEEP_CONFIGS = [(ModularRing(m), 2) for m in (2, 3, 4, 5, 6, 8, 12)]
 SWEEP_CONFIGS += [(PrimeFieldRing(p), 2) for p in (2, 3, 5)]
 SWEEP_CONFIGS += [(ModularRing(2), 3), (PrimeFieldRing(2), 3)]
+# without word codes the fields are cut from the bytes one by one
+NO_WORD_CODES = [(ModularRing(3), 2), (ModularRing(12), 2), (PrimeFieldRing(2), 3)]
+SWEEP_PARAMS = [pytest.param(ring, n, True, id=f"{ring}-{n}") for ring, n in SWEEP_CONFIGS]
+SWEEP_PARAMS += [
+    pytest.param(ring, n, False, id=f"{ring}-{n}-no-word-codes") for ring, n in NO_WORD_CODES
+]
 
 
-@pytest.mark.parametrize("ring, n", SWEEP_CONFIGS, ids=str)
-def test_sweep_equals_the_per_matrix_reference(ring, n):
+@pytest.mark.parametrize("ring, n, word_codes", SWEEP_PARAMS)
+def test_sweep_equals_the_per_matrix_reference(ring, n, word_codes, monkeypatch):
     # Z/12's lifted fields take two bytes (2 * 132 >= 256); the others take one
+    if not word_codes:
+        monkeypatch.setattr(rings, "_WORD_CODES", {})
     assert exhaustive_characterization(ring, n) == exhaustive_characterization_per_matrix(ring, n)
 
 
@@ -194,6 +209,20 @@ def test_sweep_counts_two_multiplications_and_a_subtraction_per_form_value(monke
     with count_ops() as ops:
         assert exhaustive_characterization(ModularRing(3), 3).agree
     assert (ops.mul, ops.add) == (2 * sum(values), sum(values))
+
+
+def test_oracle_binds_nothing_of_the_certificate_or_the_kernels():
+    # an oracle stays independent of the code it checks: from kernels it
+    # takes only the shape check, from structure nothing
+    for mod, allowed in ((structure, set()), (kernels, {"_square_pair"})):
+        own = [v for v in vars(mod).values() if getattr(v, "__module__", None) == mod.__name__]
+        bound = {name for name, v in vars(oracle).items() if v is mod or any(v is o for o in own)}
+        assert bound == allowed, mod.__name__
+    # nor does an import inside a function
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        source = getattr(node, "module", None) or ""  # only ImportFrom nodes have one
+        if source.rpartition(".")[2] in ("structure", "kernels"):
+            assert [alias.name for alias in node.names] == ["_square_pair"], source
 
 
 def rank_at_most_one_count(m, n):
