@@ -19,14 +19,13 @@ import sys
 from .bench import DEFAULT_BENCH_MODULUS, run_bench
 from .kernels import (
     StructurePreconditionFailed,
-    _square_pair,
     naive_aba,
     require_structured,
     structured_aba,
     structured_power,
     structured_power_bits,
 )
-from .matrices import Matrix, MatrixError
+from .matrices import Matrix, MatrixError, _square_pair
 from .oracle import TooLargeToEnumerate, exhaustive_characterization, verify_identity
 from .probe import ProbeReport, probe_converse, probe_witness
 from .rings import PolynomialRing, RingError
@@ -253,7 +252,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one per process serves every call
     parser = argparse.ArgumentParser(
         prog="minortrace",
         description="Exact triple-product kernels and checks for vanishing-minor matrices.",
@@ -307,12 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parsing leaves the parser unchanged, so one per process serves every call
-    return build_parser()
 
 
 def main(argv=None) -> int:

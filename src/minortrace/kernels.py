@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .matrices import Matrix, ShapeMismatch
+from .matrices import Matrix, ShapeMismatch, _square_pair
 from .rings import IntegerRing, RingElem, RingMismatch
 from .structure import MinorWitness, OuterFactors, check_vanishing_minors
 
@@ -25,15 +25,6 @@ class StructurePreconditionFailed(Exception):
         # the value stays out: its repr fails beyond the int-to-str digit limit
         super().__init__(
             f"nonzero 2x2 minor at rows ({idx.i}, {idx.j}), cols ({idx.k}, {idx.l})"
-        )
-
-
-def _square_pair(a: Matrix, b: Matrix) -> None:
-    if a.ring != b.ring:
-        raise RingMismatch(f"{a.ring} vs {b.ring}")
-    if not (a.is_square and b.is_square and a.rows == b.rows):
-        raise ShapeMismatch(
-            f"two n x n matrices required, got {a.rows}x{a.cols} and {b.rows}x{b.cols}"
         )
 
 

@@ -54,6 +54,15 @@ def check_shape(rows) -> None:
             raise ShapeMismatch("ragged rows")
 
 
+def _square_pair(a: Matrix, b: Matrix) -> None:
+    if a.ring != b.ring:
+        raise RingMismatch(f"{a.ring} vs {b.ring}")
+    if not (a.is_square and b.is_square and a.rows == b.rows):
+        raise ShapeMismatch(
+            f"two n x n matrices required, got {a.rows}x{a.cols} and {b.rows}x{b.cols}"
+        )
+
+
 @dataclass(frozen=True)
 class MinorIndex:
     """Rows i < j and columns k < l selecting a 2x2 submatrix (0-based)."""

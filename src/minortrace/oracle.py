@@ -30,8 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .kernels import _square_pair
-from .matrices import Matrix, NotSquare, TooSmall
+from .matrices import Matrix, NotSquare, TooSmall, _square_pair
 from .rings import IntegerRing, ModularRing, PrimeFieldRing, Ring
 from .rings import _bump, _field_format, _repunit, _unpack
 
@@ -161,37 +160,39 @@ SPOT_CHECK_EVERY = 100  # probe decisions re-checked by the full-B loop
 _ONE_IF_NONZERO = bytes(1) + b"\x01" * 255  # bytes.translate table
 
 
-def _probe_fails(rows, decide) -> bytes:
-    """The for-every-B side of a block: byte t is 1 iff matrix t fails a unit probe.
+def _form_table(n: int) -> tuple:
+    """Every form the sweep evaluates at order n, split once per side.
 
-    rows are A's first n-1 rows as ints and its last row packed, and
-    decide turns the residual entries into the block's bytes, those on the
-    first rows alone (const) apart from those on the last row.  In row
-    x != j, the residual of the probe with its unit at (l, j) is
-    a_xl row_j(A) - a_jl row_x(A); in row j it is zero.
+    A form (a, b, c, d, e, f, g, h) stands for r[a][b] r[c][d] - r[e][f] r[g][h]
+    on A's rows r.  The for-every-B side has the unit-probe residual
+    entries: in row x != j, the residual of the probe with its unit at
+    (l, j) is a_xl row_j(A) - a_jl row_x(A), and in row j it is zero.  The
+    minor side has the 2x2 minors a_ik a_jl - a_il a_jk.  Each side is a
+    pair (forms on the first n-1 rows alone, forms that use the last row).
     """
-    last = len(rows) - 1
-    const, packed = [], []
-    for l in range(len(rows)):
-        for j, rj in enumerate(rows):
-            a_jl = rj[l]
-            for x, rx in enumerate(rows):
-                if x != j:
-                    a_xl = rx[l]
-                    residual = [a_xl * y - a_jl * z for y, z in zip(rj, rx)]
-                    (packed if last in (x, j) else const).extend(residual)
-    return decide(const, packed)
+    pairs = list(itertools.combinations(range(n), 2))
+    probes = [(x, l, j, c, j, l, x, c) for l, j, x, c in itertools.product(range(n), repeat=4) if x != j]
+    minors = [(i, k, j, l, i, l, j, k) for i, j in pairs for k, l in pairs]
+    # a form uses the last row when one of its row indices a, c, e, g is n - 1
+    return tuple(
+        (tuple(f for f in side if n - 1 not in f[::2]), tuple(f for f in side if n - 1 in f[::2]))
+        for side in (probes, minors)
+    )
 
 
-def _minor_fails(rows, decide) -> bytes:
-    """The minor side of a block: byte t is 1 iff matrix t has a nonzero 2x2 minor."""
-    last = len(rows) - 1
-    pairs = list(itertools.combinations(range(len(rows)), 2))
-    const, packed = [], []
-    for i, j in pairs:
-        ri, rj = rows[i], rows[j]
-        (packed if j == last else const).extend([ri[k] * rj[l] - ri[l] * rj[k] for k, l in pairs])
-    return decide(const, packed)
+def _block_fails(r, table, decide) -> tuple[bytes, bytes]:
+    """Both sides of a block: byte t of each is 1 iff matrix t fails that side.
+
+    r holds A's first n-1 rows as ints and its last row packed.  decide
+    turns one side's values, those of its forms on the first rows apart
+    from those on the last row, into the block's bytes.  The for-every-B
+    side comes first, then the minor side.
+    """
+
+    def values(forms):
+        return [r[a][b] * r[c][d] - r[e][f] * r[g][h] for a, b, c, d, e, f, g, h in forms]
+
+    return tuple(decide(values(const), values(packed)) for const, packed in table)
 
 
 def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
@@ -232,28 +233,19 @@ def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
             flags |= int.from_bytes(bytes(map(m.__rmod__, fields)), "little")
         return flags.to_bytes(block, "little").translate(_ONE_IF_NONZERO)
 
-    # forms per block, two multiplications and a subtraction each: minors
-    # (i, j, k, l) and probe entries (l, j, x, c), x != j; one value per
-    # block on the first rows alone, one per matrix on the last row
-    pairs = n * (n - 1) // 2
-    form_values = (pairs - n + 1) * pairs + (n - 1) * (n - 2) * n * n
-    form_values += ((n - 1) * pairs + 2 * (n - 1) * n * n) * block
+    table = _form_table(n)  # two multiplications and a subtraction per form value
+    form_values = sum(len(const) + len(packed) * block for const, packed in table)
     last = tuple(_packed_digits(m, n, width))
     all_rows = list(itertools.product(values, repeat=n))
-    ident_count = 0
-    minors_count = 0
+    ident_count = minors_count = 0
     mismatches: list[Matrix] = []
     for index, prefix in enumerate(itertools.product(all_rows, repeat=n - 1)):
         _bump(2 * form_values, form_values)
-        rows = prefix + (last,)
-        fails = _probe_fails(rows, decide)
-        unstructured = _minor_fails(rows, decide)
+        fails, unstructured = _block_fails(prefix + (last,), table, decide)
         for t in range(-index * block % SPOT_CHECK_EVERY, block, SPOT_CHECK_EVERY):
             a = Matrix(ring, prefix + (all_rows[t],))
             if (not fails[t]) != universal_identity_by_enumeration(a):
-                raise RuntimeError(
-                    f"probe decision disagrees with full enumeration at {a!r}"
-                )
+                raise RuntimeError(f"probe decision disagrees with full enumeration at {a!r}")
         ident_count += fails.count(0)
         minors_count += unstructured.count(0)
         if fails != unstructured and len(mismatches) < MISMATCH_CAP:

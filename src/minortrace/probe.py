@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernels import _square_pair
 from .matrices import (
     BlockSplit,
     Matrix,
     MinorIndex,
     NotSquare,
     TooSmall,
+    _square_pair,
     block_join,
 )
 from .rings import RingElem

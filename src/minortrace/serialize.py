@@ -197,21 +197,23 @@ def ring_from_obj(obj) -> Ring:
 
 
 def parse_ring_spec(spec: str) -> Ring:
-    """Ring spec strings: "int", "mod:<m>", "gf:<p>", "poly:<base>:<var>"."""
-    try:
-        if spec == "int":
-            return IntegerRing()
-        if spec.startswith("mod:"):
-            return ModularRing(_parse_int(spec[4:], "modulus"))
-        if spec.startswith("gf:"):
-            return PrimeFieldRing(_parse_int(spec[3:], "p"))
-        if spec.startswith("poly:"):
-            base_spec, _, var = spec[5:].rpartition(":")
-            if not base_spec:
-                raise SerializeError(f"bad ring spec {spec!r}")
-            return PolynomialRing(parse_ring_spec(base_spec), var)
-    except ValueError as exc:
-        raise SerializeError(str(exc)) from exc
+    """Ring spec strings: "int", "mod:<m>", "gf:<p>", "poly:<base>:<var>".
+
+    The spec is rewritten into the ring object it spells, and ring_from_obj
+    decodes that, so a spec and its object give the same ring or error.
+    """
+    return ring_from_obj(_ring_spec_obj(spec))
+
+
+def _ring_spec_obj(spec: str) -> dict:
+    if spec == "int":
+        return {"kind": "int"}
+    kind, colon, rest = spec.partition(":")
+    if colon and kind in ("mod", "gf"):
+        return {"kind": kind, "modulus" if kind == "mod" else "p": rest}
+    base, _, var = rest.rpartition(":")
+    if kind == "poly" and base:
+        return {"kind": "poly", "base": _ring_spec_obj(base), "var": var}
     raise SerializeError(f"bad ring spec {spec!r}")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,6 +7,10 @@ from hypothesis import given, settings
 
 from minortrace import (
     IndexOutOfRange,
+    OuterFactors,
+    Ring,
+    RingElem,
+    UnsupportedRing,
     Matrix,
     MinorIndex,
     ModularRing,
@@ -21,8 +26,12 @@ from minortrace import (
     det_small,
     matrix_unit,
     outer,
+    random_elem,
     random_matrix,
+    trace_of_product,
+    universal_identity_by_enumeration,
 )
+from minortrace.serialize import SerializeError, ring_to_obj
 from support import ALL_RINGS, GF5, INT, MOD4, POLY_INT, matrices
 
 
@@ -287,3 +296,72 @@ def test_identity_probe_alone_cannot_certify_minors_in_3x3():
     # the identity matrix is such a witness: I^2 = I = Tr(I) I over Z/2
     eye = Matrix.identity(ring, 3)
     assert (eye @ eye) == eye.scale(eye.trace())
+
+
+class BareRing(Ring):
+    """A ring no sampler or encoding knows."""
+
+    def __repr__(self):
+        return "BareRing()"
+
+
+A2 = Matrix.from_rows(INT, [[1, 2], [3, 4]])
+A2_MOD4 = Matrix.from_rows(MOD4, [[1, 2], [3, 0]])
+ROW3 = Matrix.from_rows(INT, [[1, 2, 3]])
+SPLIT3 = Matrix.from_rows(INT, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]).block_split()
+ERROR_BRANCHES = [
+    ("trace-rings", lambda: trace_of_product(A2, A2_MOD4), RingMismatch, "Z vs Z/4"),
+    ("trace-shapes", lambda: trace_of_product(A2, ROW3), ShapeMismatch, "trace of 2x2 @ 1x3 is undefined"),
+    ("add-rings", lambda: A2 + A2_MOD4, RingMismatch, "Z vs Z/4"),
+    ("sub-shapes", lambda: A2 - ROW3, ShapeMismatch, "2x2 vs 1x3"),
+    ("add-int", lambda: A2 + 1, TypeError, "unsupported operand type(s) for +: 'Matrix' and 'int'"),
+    ("sub-int", lambda: A2 - 1, TypeError, "unsupported operand type(s) for -: 'Matrix' and 'int'"),
+    ("matmul-int", lambda: A2 @ 1, TypeError, "unsupported operand type(s) for @: 'Matrix' and 'int'"),
+    ("row", lambda: A2.row(2), IndexOutOfRange, "row 2 outside 2x2"),
+    ("col", lambda: A2.col(-1), IndexOutOfRange, "col -1 outside 2x2"),
+    ("zero", lambda: Matrix.zero(INT, 1, 0), ShapeMismatch, "matrix dimensions must be at least 1x1"),
+    ("identity", lambda: Matrix.identity(INT, 0), ShapeMismatch, "matrix dimensions must be at least 1x1"),
+    ("unit", lambda: matrix_unit(INT, 0, 0, 0), ShapeMismatch, "matrix dimensions must be at least 1x1"),
+    (
+        "join-rings",
+        lambda: block_join(dataclasses.replace(SPLIT3, pivot=RingElem(MOD4, 1))),
+        RingMismatch,
+        "block parts over different rings",
+    ),
+    (
+        "join-row",
+        lambda: block_join(dataclasses.replace(SPLIT3, last_row=ROW3)),
+        ShapeMismatch,
+        "block parts do not conform",
+    ),
+    (
+        "join-col",
+        lambda: block_join(dataclasses.replace(SPLIT3, last_col=mat([[1]]))),
+        ShapeMismatch,
+        "block parts do not conform",
+    ),
+    (
+        "enumerate-non-square",
+        lambda: universal_identity_by_enumeration(mat([[1, 0, 1]], ModularRing(2))),
+        NotSquare,
+        "square matrix required, got 1x3",
+    ),
+    (
+        "outer-rings",
+        lambda: OuterFactors(col=mat([[1], [2]]), row=mat([[1, 2]], MOD4)),
+        RingMismatch,
+        "Z vs Z/4",
+    ),
+    ("sampler", lambda: random_elem(random.Random(0), BareRing()), UnsupportedRing, "no sampler for BareRing()"),
+    ("encoding", lambda: ring_to_obj(BareRing()), SerializeError, "no encoding for ring BareRing()"),
+    ("elem-plus-int", lambda: RingElem(INT, 1) + 1, TypeError, "RingElem expected, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [pytest.param(*case[1:], id=case[0]) for case in ERROR_BRANCHES]
+)
+def test_error_branches(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message

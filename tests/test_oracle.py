@@ -1,13 +1,10 @@
 import ast
 import inspect
-import os
+import json
 import random
-import subprocess
-import sys
 
 import pytest
 
-import minortrace
 from minortrace import (
     Matrix,
     ModularRing,
@@ -21,7 +18,7 @@ from minortrace import (
     universal_identity_by_enumeration,
     verify_identity,
 )
-from minortrace import kernels, oracle, rings, structure
+from minortrace import cli, kernels, oracle, rings, structure
 from support import (
     INT,
     exhaustive_characterization_per_matrix,
@@ -129,19 +126,20 @@ def test_packed_full_b_check_multiplication_count():
 def corrupt_probe_side(monkeypatch, block, flip):
     """Negate the sweep's probe decision at the enumeration indices in flip;
     the sweep decides one block of `block` matrices per call, in order."""
-    real = oracle._probe_fails
+    real = oracle._block_fails
     calls = []
 
-    def corrupted(rows, decide):
+    def corrupted(rows, table, decide):
         base = len(calls) * block
         calls.append(rows)
-        fails = bytearray(real(rows, decide))
+        fails, unstructured = real(rows, table, decide)
+        fails = bytearray(fails)
         for index in flip:
             if base <= index < base + block:
                 fails[index - base] ^= 1
-        return bytes(fails)
+        return bytes(fails), unstructured
 
-    monkeypatch.setattr(oracle, "_probe_fails", corrupted)
+    monkeypatch.setattr(oracle, "_block_fails", corrupted)
     return calls
 
 
@@ -189,40 +187,34 @@ def test_sweep_reports_wrong_probe_decisions_as_mismatches(monkeypatch):
 
 
 def test_sweep_counts_two_multiplications_and_a_subtraction_per_form_value(monkeypatch):
-    # one value per block for a form on the first rows, one per matrix for a
-    # form on the packed last row; only the zero matrix, the first, is
-    # spot-checked, by a stand-in that counts nothing
+    # only the zero matrix, the first, is spot-checked, by a stand-in that
+    # counts nothing
     monkeypatch.setattr(oracle, "SPOT_CHECK_EVERY", 10**9)
     monkeypatch.setattr(oracle, "universal_identity_by_enumeration", lambda a: a.is_zero())
-    block = 3**3
-    values = []
-    for name in ("_probe_fails", "_minor_fails"):
-
-        def tallied(rows, decide, real=getattr(oracle, name)):
-            def tally(const, packed):
-                values.append(len(const) + len(packed) * block)
-                return decide(const, packed)
-
-            return real(rows, tally)
-
-        monkeypatch.setattr(oracle, name, tallied)
-    with count_ops() as ops:
-        assert exhaustive_characterization(ModularRing(3), 3).agree
-    assert (ops.mul, ops.add) == (2 * sum(values), sum(values))
+    for m, n in ((3, 3), (4, 2)):
+        # forms per block, counted by hand: minors (i, j, k, l) and probe
+        # residual entries (l, j, x, c), x != j; one value per block for a
+        # form on the first n - 1 rows, one per matrix for a form on the last
+        pairs = n * (n - 1) // 2
+        const = (pairs - n + 1) * pairs + (n - 1) * (n - 2) * n * n
+        packed = (n - 1) * pairs + 2 * (n - 1) * n * n
+        values = m ** (n * (n - 1)) * (const + packed * m**n)
+        with count_ops() as ops:
+            assert exhaustive_characterization(ModularRing(m), n).agree
+        assert (ops.mul, ops.add) == (2 * values, values)
 
 
 def test_oracle_binds_nothing_of_the_certificate_or_the_kernels():
-    # an oracle stays independent of the code it checks: from kernels it
-    # takes only the shape check, from structure nothing
-    for mod, allowed in ((structure, set()), (kernels, {"_square_pair"})):
+    # an oracle stays independent of the code it checks: it takes nothing
+    # from kernels or structure
+    for mod in (structure, kernels):
         own = [v for v in vars(mod).values() if getattr(v, "__module__", None) == mod.__name__]
         bound = {name for name, v in vars(oracle).items() if v is mod or any(v is o for o in own)}
-        assert bound == allowed, mod.__name__
+        assert bound == set(), mod.__name__
     # nor does an import inside a function
     for node in ast.walk(ast.parse(inspect.getsource(oracle))):
         source = getattr(node, "module", None) or ""  # only ImportFrom nodes have one
-        if source.rpartition(".")[2] in ("structure", "kernels"):
-            assert [alias.name for alias in node.names] == ["_square_pair"], source
+        assert source.rpartition(".")[2] not in ("structure", "kernels"), source
 
 
 def rank_at_most_one_count(m, n):
@@ -305,22 +297,12 @@ def test_enumeration_guards():
         exhaustive_characterization(ModularRing(2), 1)
 
 
-def test_exhaust_small_rings_script_default_configs():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    script = os.path.join(root, "scripts", "exhaust_small_rings.py")
-    src = os.path.dirname(os.path.dirname(minortrace.__file__))
-    proc = subprocess.run(
-        [sys.executable, script],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    configs = ["mod:2,2", "mod:2,3", "mod:3,2", "mod:4,2", "mod:5,2", "gf:3,2", "mod:6,2", "gf:5,2",
-               "mod:8,2", "mod:10,2"]
-    assert len(lines) == len(configs)
-    for config, line in zip(configs, lines):
+def test_exhaust_small_rings_script_default_configs(capsys):
+    # the configurations of the README's loop over `minortrace exhaust`
+    for config in ["mod:2,2", "mod:2,3", "mod:3,2", "mod:4,2", "mod:5,2", "gf:3,2", "mod:6,2", "gf:5,2",
+                   "mod:8,2", "mod:10,2"]:
         spec, _, n = config.rpartition(",")
-        assert line.lstrip().startswith(f"{spec} n={n}:") and line.endswith("agree=True")
+        assert cli.main(["exhaust", "--ring", spec, "--n", n]) == 0, config
+        report = json.loads(capsys.readouterr().out)
+        m = int(spec.partition(":")[2])
+        assert report["agree"] is True and report["total"] == m ** (int(n) ** 2), config
