@@ -39,6 +39,7 @@ from .serialize import (
     loads,
     matrix_from_obj,
     matrix_rows_from_obj,
+    matrix_rows_from_text,
     matrix_to_obj,
     output_bits_over_limit,
     parse_ring_spec,
@@ -82,29 +83,38 @@ def _read(path: str) -> str:
 
 
 def _load_matrix(path: str) -> Matrix:
-    return matrix_from_obj(loads(_read(path)))
+    text = _read(path)
+    parsed = matrix_rows_from_text(text)
+    if parsed is None:
+        return matrix_from_obj(loads(text))
+    ring, rows = parsed
+    return Matrix(ring, canon_rows(ring, rows))
 
 
 def _load_deciding_head(path: str, square: bool) -> tuple[Matrix, StructureVerdict | None]:
     """The matrix in path, with its verdict when rows 1-2 already decide it.
 
     Every row is checked first, so a bad entry or a shape error anywhere
-    is still the error reported.  Over an integer-like ring (on a square
-    matrix, if square is set), rows 1-2 are then checked alone; with one
-    row or one column they are vacuously structured.  A nonzero minor
-    there is the first witness of the whole matrix (see
-    check_vanishing_minors), so that verdict comes back with the 2-row
-    matrix and no other row is converted; the probe witness reads only the
-    minor's two rows.  Otherwise the rest is converted, rows 1-2 kept, and
-    the verdict is None.
+    is still the error reported: a text in the layout dumps writes is
+    checked in byte passes (matrix_rows_from_text), and any other text is
+    decoded whole and checked row by row.  Over an integer-like ring (on a
+    square matrix, if square is set), rows 1-2 are then converted and
+    checked alone; with one row or one column they are vacuously
+    structured.  A nonzero minor there is the first witness of the whole
+    matrix (see check_vanishing_minors), so that verdict comes back with
+    the 2-row matrix and no other row is converted; the probe witness
+    reads only the minor's two rows.  Otherwise the rest is converted,
+    rows 1-2 kept, and the verdict is None.
     """
-    ring, rows = matrix_rows_from_obj(loads(_read(path)))
-    if isinstance(ring, PolynomialRing) or square and len(rows) != len(rows[0]):
+    text = _read(path)
+    ring, rows = matrix_rows_from_text(text) or matrix_rows_from_obj(loads(text))
+    if isinstance(ring, PolynomialRing):
         return Matrix(ring, canon_rows(ring, rows)), None
     head = Matrix(ring, canon_rows(ring, rows[:2]))
-    verdict = check_vanishing_minors(head)
-    if not verdict.structured:
-        return head, verdict
+    if not (square and len(rows) != head.cols):
+        verdict = check_vanishing_minors(head)
+        if not verdict.structured:
+            return head, verdict
     return Matrix(ring, head.data + canon_rows(ring, rows[2:])), None
 
 

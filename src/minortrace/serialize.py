@@ -24,6 +24,14 @@ is redone entry by entry, so errors read as the per-entry decode gives
 them, and a bad entry anywhere wins over a shape error.  Then canon_rows
 converts the rows asked for; matrix_from_obj asks for all of them.
 
+A text in the layout dumps writes for a Z, Z/m or GF(p) matrix need not be
+decoded whole: matrix_rows_from_text checks its ring, its skeleton and
+every entry in a few passes over its bytes and gives each row as a slice
+of the text, which canon_rows splits and converts only when asked.  Any
+other text (whitespace, JSON numbers, escapes, another key order, a
+polynomial ring, one bad entry) gives None, and the CLI falls back to
+loads and matrix_rows_from_obj, so answers and errors are theirs.
+
 Matrices are emitted a row at a time: matrix_to_obj turns each row into
 decimal strings, and dumps writes a row of decimal strings with one join
 instead of one encoder step per entry.  A matrix under two keys of the
@@ -206,15 +214,26 @@ def parse_ring_spec(spec: str) -> Ring:
 
 
 def _ring_spec_obj(spec: str) -> dict:
-    if spec == "int":
-        return {"kind": "int"}
-    kind, colon, rest = spec.partition(":")
-    if colon and kind in ("mod", "gf"):
-        return {"kind": kind, "modulus" if kind == "mod" else "p": rest}
-    base, _, var = rest.rpartition(":")
-    if kind == "poly" and base:
-        return {"kind": "poly", "base": _ring_spec_obj(base), "var": var}
-    raise SerializeError(f"bad ring spec {spec!r}")
+    # "poly:" layers are peeled outermost first, so a spec nested past the
+    # depth cap is refused before its core is read
+    variables = []
+    while spec != "int":
+        kind, colon, rest = spec.partition(":")
+        if colon and kind in ("mod", "gf"):
+            obj = {"kind": kind, "modulus" if kind == "mod" else "p": rest}
+            break
+        base, _, var = rest.rpartition(":")
+        if not (kind == "poly" and base):
+            raise SerializeError(f"bad ring spec {spec!r}")
+        if len(variables) == 2:
+            raise SerializeError("polynomial nesting is capped at depth 2")
+        variables.append(var)
+        spec = base
+    else:
+        obj = {"kind": "int"}
+    for var in reversed(variables):
+        obj = {"kind": "poly", "base": obj, "var": var}
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -259,39 +278,50 @@ def matrix_to_obj(m: Matrix) -> dict:
 def _decimal_row(row: list) -> bool:
     """Whether every entry of a row is a string _parse_int takes, in a few passes.
 
-    An entry passes when it is ASCII digits after at most one minus sign,
-    with at most the int/str digit limit of digits: on a nonempty row of
-    digits, minus signs and empty strings, exactly when
-    list(map(int, row)) succeeds.  The passes run over the joined row, not
-    entry by entry.
+    On a nonempty row this is exactly when list(map(int, row)) succeeds.
+    The passes run over the joined row, not entry by entry.
     """
     try:
         joined = "".join(row)
     except TypeError:  # not all strings
         return False
-    if not joined.isascii():
-        return False
-    digits = joined.encode().replace(b"-", b"")
     # bytes.isdigit accepts exactly 0-9 and is false on b""
-    if not (digits.isdigit() and all(row)):
+    if not (joined.isascii() and joined.encode().replace(b"-", b"").isdigit()):
         return False
-    minus = len(joined) - len(digits)
-    limit = sys.get_int_max_str_digits()
-    capped = limit and len(digits) > limit
-    if not (minus or capped):
-        return True
-    marked = f",{','.join(row)},"
+    marked = f",{','.join(row)},".encode()
+    return _decimal_entries(marked, b",", 0, len(marked))
+
+
+def _decimal_entries(marked: bytes, sep: bytes, start: int, stop: int) -> bool:
+    """Whether every entry in marked[start:stop] is a decimal string _parse_int takes.
+
+    marked[start:stop] begins and ends with sep, and holds only ASCII
+    digits, minus signs and sep bytes, except that stretches between two
+    entries may hold other bytes, but neither digits nor minus signs (the
+    '],[' between two rows of a matrix text).  An entry passes when it is
+    nonempty, ASCII digits after at most one minus sign, and at most the
+    int/str digit limit of digits.
+    """
+    if marked.find(sep + sep, start, stop) >= 0:  # an empty entry
+        return False
+    # find is a memchr, which count is not
+    minus = marked.find(b"-", start, stop) >= 0 and marked.count(b"-", start, stop)
     # every minus sign leads its entry, and no entry is a lone minus
-    if minus and (marked.count(",-") != minus or ",-," in marked):
+    if minus and (
+        marked.count(sep + b"-", start, stop) != minus
+        or marked.find(sep + b"-" + sep, start, stop) >= 0
+    ):
         return False
-    if capped:
+    limit = sys.get_int_max_str_digits()
+    if limit and stop - start > limit:
         # an entry longer than the limit covers a whole stretch of step
-        # characters, so the entries are measured only when some stretch
-        # of the marked row holds no comma
+        # bytes, so the entries are measured only when some stretch holds
+        # no sep
         step = (limit + 1) // 2
-        if any(marked.find(",", i, i + step) < 0 for i in range(0, len(marked), step)):
+        if any(marked.find(sep, i, i + step) < 0 for i in range(start, stop, step)):
             # only a minus sign may take an entry one past the limit
-            return all(len(x) - (x[0] == "-") <= limit for x in row)
+            pieces = marked[start:stop].split(sep)
+            return all(len(x) - x.startswith(b"-") <= limit for x in pieces)
     return True
 
 
@@ -330,10 +360,91 @@ def matrix_rows_from_obj(obj) -> tuple[Ring, list]:
     return ring, rows
 
 
+_JSON_SPACE = " \t\n\r"
+_DIGITS_AND_MINUS = b"0123456789-"
+_ROWS_KEY = ',"rows":[["'
+
+
+def matrix_rows_from_text(text: str) -> tuple[Ring, list[str]] | None:
+    """The ring and row texts of a matrix text in the layout dumps writes, or None.
+
+    The layout is {"ring":R,"rows":[["d",...],...]} plus optional JSON
+    whitespace (the inverse of _rows_text), where R is the encoding of a
+    Z, Z/m or GF(p) ring and the rows, once their digits and minus signs
+    are deleted, are the skeleton of an r x c matrix, r, c >= 1.  Every
+    digit and minus sign must lie inside an entry, and every entry must be
+    one _parse_int takes (_decimal_entries).  That is checked in a few
+    C-level passes over the bytes, and no entry becomes an object.  A row
+    text is the row's entries joined by '","'; canon_rows converts it.
+    On any other text this gives None; loads with matrix_rows_from_obj
+    then decodes it whole, and a caller that falls back to them answers
+    and fails as they do on every text.
+    """
+    if not (text.isascii() and text.startswith('{"ring":')):
+        return None
+    key = text.find(_ROWS_KEY)
+    start, stop = key + 8, text.rfind("}")  # the rows are text[start:stop]
+    if key < 8 or stop < start or text[stop + 1 :].strip(_JSON_SPACE):
+        return None
+    if not text.endswith('"]]', start, stop):
+        return None
+    height = _rows_height(text.encode(), start, stop)
+    if not height:
+        return None
+    # the skeleton puts the end of every row at the next "]"
+    rows, i = [], start + 3
+    for _ in range(height - 1):
+        j = text.find("]", i)
+        if not text.startswith('"],["', j - 1):  # a digit or minus sign next to "]"
+            return None
+        rows.append(text[i : j - 1])
+        i = j + 4
+    rows.append(text[i : stop - 3])
+    # the ring last, so that a text whose rows are not canonical (say, one
+    # bad entry) does not decode it twice
+    ring_text = text[8:key]
+    try:
+        ring = ring_from_obj(loads(ring_text))
+    except (SerializeError, RecursionError):
+        return None
+    if isinstance(ring, PolynomialRing) or _encode(ring_to_obj(ring)) != ring_text:
+        return None
+    return ring, rows
+
+
+def _rows_height(data: bytes, start: int, stop: int) -> int:
+    """r when data[start:stop] holds an r x c matrix of decimal strings, else 0.
+
+    data[start:stop] runs from "[[" to "]]".  Digits and minus signs
+    between two rows are left to the caller.
+    """
+    head = data[:start].translate(None, _DIGITS_AND_MINUS)
+    skeleton = data.translate(None, _DIGITS_AND_MINUS)
+    tail = data[stop:]
+    # a row's skeleton is [""] and ,"" for each further entry
+    width = (skeleton.find(b"]", len(head)) - len(head) - 1) // 3
+    row = b"[" + b",".join([b'""'] * width) + b"]"
+    height = (len(skeleton) - len(head) - len(tail) - 1) // (len(row) + 1)
+    if width < 1 or skeleton != head + b"[" + b",".join([row] * height) + b"]" + tail:
+        return 0
+    # given the skeleton, a digit or minus sign between two entries of a
+    # row breaks one '","'
+    if data.count(b'","', start, stop) != height * (width - 1):
+        return 0
+    return height if _decimal_entries(data, b'"', start + 2, stop - 2) else 0
+
+
 def canon_rows(ring: Ring, rows) -> tuple:
-    """Canonical rows, for Matrix(ring, ...), of rows from matrix_rows_from_obj."""
+    """Canonical rows, for Matrix(ring, ...), of rows from matrix_rows_from_obj
+    or matrix_rows_from_text."""
     canon_row = ring.canon_row
-    return tuple([canon_row(list(map(int, r)) if type(r[0]) is str else r) for r in rows])
+    return tuple([canon_row(_int_row(r)) for r in rows])
+
+
+def _int_row(row) -> list:
+    if type(row) is str:  # a row text
+        return list(map(int, row.split('","')))
+    return list(map(int, row)) if type(row[0]) is str else row
 
 
 def matrix_from_obj(obj) -> Matrix:

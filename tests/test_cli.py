@@ -382,6 +382,13 @@ def test_ring_specs_must_be_plain_decimal(capsys, spec):
     assert code == 2 and payload is None and "expected a decimal integer" in err
 
 
+@pytest.mark.parametrize("command", ["gen", "exhaust"])
+def test_a_ring_spec_nested_past_the_cap_exits_2(capsys, command):
+    spec = "poly:" * 1200 + "int" + ":x" * 1200
+    code, payload, err = run(capsys, command, "--ring", spec, "--n", "2")
+    assert (code, payload, err) == (2, None, "error: polynomial nesting is capped at depth 2\n")
+
+
 def test_over_long_entry_has_its_own_message(tmp_path, capsys):
     limit = sys.get_int_max_str_digits()
     digits = "-" + "9" * 5000

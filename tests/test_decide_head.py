@@ -3,7 +3,9 @@
 The rest of the file is still checked, so every answer, error and exit
 code must equal that of decoding the whole file first
 (support.check_or_probe_full_decode), and only the rows that decide are
-converted.
+converted.  A file in the layout serialize.dumps writes is checked in byte
+passes and never decoded whole; any other text is, and both give the same
+answers.
 """
 
 import contextlib
@@ -16,9 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from minortrace import IntegerRing, ModularRing, gen_structured, random_matrix
+from minortrace import cli
 from minortrace.cli import main
 from minortrace.rings import _ResidueRing
-from minortrace.serialize import dumps, matrix_to_obj
+from minortrace.serialize import dumps, matrix_rows_from_text, matrix_to_obj
 from support import check_or_probe_full_decode
 
 RING_OBJS = [
@@ -70,11 +73,14 @@ def run_main(argv):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(obj=head_first_objs())
 def test_check_and_probe_match_the_full_decode(tmp_path_factory, obj):
-    text = json.dumps(obj)
-    path = tmp_path_factory.getbasetemp() / "head_first.json"
-    path.write_text(text)
-    for command in ("check", "probe"):
-        assert run_main([command, str(path)]) == check_or_probe_full_decode(command, text)
+    # json.dumps writes spaces, so its text is decoded whole; dumps writes
+    # the layout the byte passes check
+    for write in (json.dumps, dumps):
+        text = write(obj)
+        path = tmp_path_factory.getbasetemp() / "head_first.json"
+        path.write_text(text)
+        for command in ("check", "probe"):
+            assert run_main([command, str(path)]) == check_or_probe_full_decode(command, text)
 
 
 @pytest.fixture
@@ -116,3 +122,89 @@ def test_a_structured_matrix_converts_every_row_once(tmp_path, converted, comman
         code, _, _ = run_main([command, str(path)])
         assert code == 0
         assert converted == list(a.data)
+
+
+def _text(rows: str, ring: str = '{"kind":"int"}', tail: str = "") -> str:
+    return '{"ring":' + ring + ',"rows":' + rows + "}" + tail
+
+
+def _last(entry: str) -> str:
+    """A 3x3 matrix text whose rows 1-2 are structured and whose last entry is entry."""
+    return _text('[["1","2","3"],["2","4","6"],["3","6",' + entry + "]]")
+
+
+BIG = "9" * 5000
+# (id, text, whether the byte passes take it)
+CANONICAL_LOOKING = [
+    ("leading-zeros", _last('"007"'), True),
+    ("minus-zero", _last('"-0"'), True),
+    ("empty", _last('""'), False),
+    ("lone-minus", _last('"-"'), False),
+    ("double-minus", _last('"--1"'), False),
+    ("inner-minus", _last('"1-2"'), False),
+    ("json-escape", _last('"\\u0031"'), False),
+    ("arabic-indic-digit", _last('"\u0665"'), False),
+    ("leading-space", _last('" 7"'), False),
+    ("4300-digits", _last('"' + "7" * 4300 + '"'), True),
+    ("4301-digits", _last('"' + "7" * 4301 + '"'), False),
+    ("minus-4300-digits", _last('"-' + "7" * 4300 + '"'), True),
+    ("json-integer", _last("7"), False),
+    ("stray-digit-in-a-row", _text('[["1"5,"2"],["3","4"]]'), False),
+    ("stray-digit-between-rows", _text('[["1","2"]5,["3","4"]]'), False),
+    ("stray-digit-at-the-end", _last('"7"5'), False),
+    ("trailing-newline", _last('"7"') + "\n", True),
+    ("trailing-garbage", _last('"7"') + "x", False),
+    ("duplicate-rows", _text('[["1","2"],["3","4"]],"rows":[["1","2"],["2","4"]]'), False),
+    ("swapped-keys", '{"rows":[["1","2"],["3","4"]],"ring":{"kind":"int"}}', False),
+    ("extra-key", _text('[["1","2"],["3","4"]],"x":1'), False),
+    ("ring-with-a-space", _text('[["1","2"],["3","4"]]', '{"kind": "int"}'), False),
+    ("modulus-json-number", _text('[["1","2"],["3","4"]]', '{"kind":"mod","modulus":12}'), False),
+    ("modulus-past-the-limit", _text('[["1","2"],["3","4"]]', '{"kind":"mod","modulus":' + BIG + "}"), False),
+    ("ring-5000-deep", _text('[["1"]]', '{"base":' * 5000 + '{"kind":"int"}' + "}" * 5000), False),
+    ("1x1", _text('[["5"]]'), True),
+    ("1xn", _text('[["1","-2","3"]]'), True),
+    ("nx1", _text('[["1"],["-2"],["3"]]'), True),
+    ("poly", _text('[[["1"],["2"]],[["2"],["4"]]]', '{"base":{"kind":"int"},"kind":"poly","var":"x"}'), False),
+]
+
+
+@pytest.mark.parametrize(
+    "text, taken", [case[1:] for case in CANONICAL_LOOKING], ids=[case[0] for case in CANONICAL_LOOKING]
+)
+def test_canonical_looking_texts_answer_as_the_full_decode(tmp_path, monkeypatch, text, taken):
+    """check, probe and verify --fast give the same exit code, stdout and
+    stderr as with the byte passes switched off, which is the decode of
+    the whole file."""
+    assert (matrix_rows_from_text(text) is not None) == taken
+    path = tmp_path / "a.json"
+    path.write_text(text)
+    identity = tmp_path / "i.json"
+    identity.write_text(_text('[["1","0","0"],["0","1","0"],["0","0","1"]]'))
+    runs = [["check", str(path)], ["probe", str(path)], ["verify", str(path), str(identity), "--fast"]]
+    got = [run_main(argv) for argv in runs]
+    monkeypatch.setattr(cli, "matrix_rows_from_text", lambda text: None)
+    assert got == [run_main(argv) for argv in runs]
+    for command, outcome in zip(("check", "probe"), got):
+        assert outcome == check_or_probe_full_decode(command, text)
+
+
+@pytest.mark.parametrize("command", ["check", "probe"])
+@pytest.mark.parametrize("make", ["random", "structured"])
+def test_a_canonical_file_is_never_decoded_whole(tmp_path, monkeypatch, command, make):
+    for ring in HEAD_RINGS:
+        if make == "random":
+            a = random_matrix(random.Random(11), ring, 256, 256)
+        else:
+            a = gen_structured(11, ring, 256)
+        text = dumps(matrix_to_obj(a))
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        want = check_or_probe_full_decode(command, text)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "loads", _refuse)
+            assert run_main([command, str(path)]) == want
+        assert want[0] == (1 if make == "random" else 0)
+
+
+def _refuse(text):
+    raise AssertionError("the whole document was decoded")

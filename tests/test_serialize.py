@@ -21,6 +21,7 @@ from minortrace import (
     random_matrix,
 )
 from minortrace import serialize
+from minortrace.matrices import MatrixError
 from minortrace.serialize import (
     SerializeError,
     _checked_int_row,
@@ -29,6 +30,8 @@ from minortrace.serialize import (
     factors_to_obj,
     loads,
     matrix_from_obj,
+    matrix_rows_from_obj,
+    matrix_rows_from_text,
     matrix_to_obj,
     parse_ring_spec,
     probe_report_to_obj,
@@ -80,6 +83,13 @@ def test_parse_ring_spec():
     for bad in ("flubber", "mod:x", "gf:4", "poly:", "poly:int"):
         with pytest.raises(SerializeError):
             parse_ring_spec(bad)
+
+
+@pytest.mark.parametrize("depth", [3, 4, 1200])
+def test_a_ring_spec_past_the_depth_cap_is_refused_while_peeled(depth):
+    spec = "poly:" * depth + "int" + ":x" * depth
+    with pytest.raises(SerializeError, match="^polynomial nesting is capped at depth 2$"):
+        parse_ring_spec(spec)
 
 
 def test_matrix_round_trip_per_ring(ring):
@@ -303,6 +313,65 @@ def test_row_check_at_the_digit_limit(limit, filler, sign, past, at):
                 _checked_int_row(row)
         else:
             assert _checked_int_row(row) is row
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _full_decode(text):
+    try:
+        ring, rows = matrix_rows_from_obj(loads(text))
+    except (SerializeError, MatrixError):
+        return None
+    return ring, serialize.canon_rows(ring, rows)
+
+
+def _agrees_with_the_full_decode(text: str) -> bool:
+    """A text matrix_rows_from_text takes decodes whole to the same ring and rows."""
+    taken = matrix_rows_from_text(text)
+    return taken is None or _full_decode(text) == (taken[0], serialize.canon_rows(*taken))
+
+
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+def test_the_text_check_takes_exactly_what_the_full_decode_takes(limit):
+    """matrix_rows_from_text on the text dumps writes: it takes the text
+    exactly when the full decode does, and every text one byte away in
+    the rows (a byte inserted, deleted or replaced) that it takes decodes
+    whole to the same ring and rows."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        around = limit or 4300
+        valid = st.integers(-999, 999).map(str)
+        short = st.text(alphabet="-0123456789", max_size=4)
+        long = st.builds(
+            lambda head, k: head + "7" * k,
+            st.sampled_from(["", "-", "7-"]),
+            st.integers(around - 1, around + 1),
+        )
+        entries = st.one_of(*[valid] * 6, short, long)
+
+        @given(
+            width=st.integers(1, 3),
+            height=st.integers(1, 3),
+            ring=st.sampled_from(RING_OBJS),
+            tail=st.sampled_from(["", "\n", " \t\r\n"]),
+            data=st.data(),
+        )
+        @settings(max_examples=150, deadline=None)
+        def check(width, height, ring, tail, data):
+            rows = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width),
+                                      min_size=height, max_size=height))
+            text = dumps({"ring": ring, "rows": rows}) + tail
+            assert (matrix_rows_from_text(text) is None) == (_full_decode(text) is None)
+            if len(text) > 200:  # a long entry: editing each of its digits shows nothing new
+                return
+            for at in range(text.find("[["), len(text) + 1):
+                for byte in '7-",]':
+                    assert _agrees_with_the_full_decode(text[:at] + byte + text[at:])
+                    assert _agrees_with_the_full_decode(text[:at] + byte + text[at + 1 :])
+                assert _agrees_with_the_full_decode(text[:at] + text[at + 1 :])
+
+        check()
     finally:
         sys.set_int_max_str_digits(saved)
 
