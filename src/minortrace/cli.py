@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 
 from .bench import DEFAULT_BENCH_MODULUS, run_bench
@@ -28,11 +29,13 @@ from .kernels import (
 from .matrices import Matrix, MatrixError, _square_pair
 from .oracle import TooLargeToEnumerate, exhaustive_characterization, verify_identity
 from .probe import ProbeReport, probe_converse, probe_witness
-from .rings import PolynomialRing, RingError
+from .rings import RingError
 from .serialize import (
     SerializeError,
+    _decimal_entries,
     bench_result_to_obj,
     canon_rows,
+    decode_rows,
     dumps,
     equivalence_report_to_obj,
     factors_to_obj,
@@ -75,47 +78,65 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _read(path: str) -> str:
+def _read(path: str):
+    """A matrix file's bytes, or stdin's text for "-"."""
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return fh.read()
 
 
+def _text(data) -> str:
+    """data as a file opened in text mode reads it: UTF-8, universal newlines."""
+    return data if type(data) is str else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
 def _load_matrix(path: str) -> Matrix:
-    text = _read(path)
-    parsed = matrix_rows_from_text(text)
-    if parsed is None:
-        return matrix_from_obj(loads(text))
-    ring, rows = parsed
-    return Matrix(ring, canon_rows(ring, rows))
+    data = _read(path)
+    parsed = matrix_rows_from_text(data)
+    rows = parsed and decode_rows(parsed[2])
+    if not rows:
+        return matrix_from_obj(loads(_text(data)))
+    return Matrix(parsed[0], canon_rows(parsed[0], rows))
 
 
 def _load_deciding_head(path: str, square: bool) -> tuple[Matrix, StructureVerdict | None]:
     """The matrix in path, with its verdict when rows 1-2 already decide it.
 
-    Every row is checked first, so a bad entry or a shape error anywhere
-    is still the error reported: a text in the layout dumps writes is
-    checked in byte passes (matrix_rows_from_text), and any other text is
-    decoded whole and checked row by row.  Over an integer-like ring (on a
-    square matrix, if square is set), rows 1-2 are then converted and
-    checked alone; with one row or one column they are vacuously
-    structured.  A nonzero minor there is the first witness of the whole
-    matrix (see check_vanishing_minors), so that verdict comes back with
-    the 2-row matrix and no other row is converted; the probe witness
-    reads only the minor's two rows.  Otherwise the rest is converted,
-    rows 1-2 kept, and the verdict is None.
+    Rows 1-2 are converted and checked alone (on a square matrix, if square
+    is set).  A nonzero minor there is the first witness of the whole
+    matrix (see check_vanishing_minors): that verdict comes back with the
+    2-row matrix, the other rows checked but not converted.  Otherwise they
+    are converted too.  Texts _text_head refuses are decoded whole first.
     """
-    text = _read(path)
-    ring, rows = matrix_rows_from_text(text) or matrix_rows_from_obj(loads(text))
-    if isinstance(ring, PolynomialRing):
-        return Matrix(ring, canon_rows(ring, rows)), None
+    data = _read(path)
+    parsed = matrix_rows_from_text(data)
+    loaded = parsed and _text_head(*parsed, square)
+    if loaded:
+        return loaded
+    ring, rows = matrix_rows_from_obj(loads(_text(data)))
     head = Matrix(ring, canon_rows(ring, rows[:2]))
     if not (square and len(rows) != head.cols):
         verdict = check_vanishing_minors(head)
         if not verdict.structured:
             return head, verdict
     return Matrix(ring, head.data + canon_rows(ring, rows[2:])), None
+
+
+def _text_head(ring, height: int, text: bytes, square: bool):
+    """_load_deciding_head on a text matrix_rows_from_text takes; None: decode it whole."""
+    cut = text.find(b'"],["', text.find(b'"],["') + 1)  # after row 2, if a row follows
+    rows = decode_rows(text[: cut + 2] + b"]" if cut > 0 else text)
+    if not rows:
+        return None
+    head = Matrix(ring, canon_rows(ring, rows))
+    if not (square and height != head.cols):
+        verdict = check_vanishing_minors(head)
+        if not verdict.structured:
+            checked = cut < 0 or _decimal_entries(text, b'"', cut + 4, text.rindex(b'"]]') + 1)
+            return (head, verdict) if checked else None
+    rest = decode_rows(b"[" + text[cut + 3 :]) if cut > 0 else ()
+    return None if rest is None else (Matrix(ring, head.data + canon_rows(ring, rest)), None)
 
 
 def _emit_precondition_witness(a: Matrix, witness: MinorWitness) -> int:

@@ -40,6 +40,7 @@ class TooLargeToEnumerate(Exception):
 
 
 ENUMERATION_BUDGET = 10**6  # max matrices per exhaustive sweep
+WORK_BUDGET = 5 * 10**7  # max matrices A plus spot-check B per sweep: a few seconds at most
 
 
 def verify_identity(
@@ -211,6 +212,12 @@ def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
         raise TooSmall("exhaustive characterization needs n >= 2")
     values = _enumerable_values(ring, n)
     m = len(values)
+    total = m ** (n * n)
+    checks = -(-total // SPOT_CHECK_EVERY)  # each tries every B
+    if total + checks * total > WORK_BUDGET:
+        raise TooLargeToEnumerate(
+            f"{total} matrices and {checks} spot checks of {total} B exceed the {WORK_BUDGET} work budget"
+        )
     block = m**n  # matrices per block: A's last row runs through values
     offset, width, code = _packing((m - 1) ** 2, m)
     lift = offset * _repunit(width, block)
@@ -255,7 +262,7 @@ def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
     return EquivalenceReport(
         ring=ring,
         n=n,
-        total=m ** (n * n),
+        total=total,
         set_identity=ident_count,
         set_minors=minors_count,
         agree=not mismatches and ident_count == minors_count,

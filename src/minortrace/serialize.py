@@ -17,20 +17,12 @@ are arrays of base-ring elements, lowest degree first.  A matrix is
 specs too, are JSON integers or plain decimal strings: ASCII digits after
 an optional minus, with no plus, space or underscore.
 
-A matrix is decoded in two steps.  First every row is checked:
-matrix_rows_from_obj checks a row of integer-like elements in a few passes
-over the joined row and leaves it unconverted; a row that fails the pass
-is redone entry by entry, so errors read as the per-entry decode gives
-them, and a bad entry anywhere wins over a shape error.  Then canon_rows
-converts the rows asked for; matrix_from_obj asks for all of them.
-
-A text in the layout dumps writes for a Z, Z/m or GF(p) matrix need not be
-decoded whole: matrix_rows_from_text checks its ring, its skeleton and
-every entry in a few passes over its bytes and gives each row as a slice
-of the text, which canon_rows splits and converts only when asked.  Any
-other text (whitespace, JSON numbers, escapes, another key order, a
-polynomial ring, one bad entry) gives None, and the CLI falls back to
-loads and matrix_rows_from_obj, so answers and errors are theirs.
+A matrix text in the layout dumps writes for a Z, Z/m or GF(p) matrix is
+read as bytes: matrix_rows_from_text checks it in a few passes, and
+decode_rows converts rows of it in one JSON decode.  Any other text, and
+one with an entry that is not a JSON integer ("007", past the digit cap),
+is decoded whole by loads and matrix_rows_from_obj, whose row checks give
+errors as the per-entry decode does.
 
 Matrices are emitted a row at a time: matrix_to_obj turns each row into
 decimal strings, and dumps writes a row of decimal strings with one join
@@ -360,91 +352,71 @@ def matrix_rows_from_obj(obj) -> tuple[Ring, list]:
     return ring, rows
 
 
-_JSON_SPACE = " \t\n\r"
-_DIGITS_AND_MINUS = b"0123456789-"
-_ROWS_KEY = ',"rows":[["'
+def matrix_rows_from_text(data) -> tuple[Ring, int, bytes] | None:
+    """The ring, the row count r and the bytes of a text in the layout dumps writes, or None.
 
-
-def matrix_rows_from_text(text: str) -> tuple[Ring, list[str]] | None:
-    """The ring and row texts of a matrix text in the layout dumps writes, or None.
-
-    The layout is {"ring":R,"rows":[["d",...],...]} plus optional JSON
-    whitespace (the inverse of _rows_text), where R is the encoding of a
-    Z, Z/m or GF(p) ring and the rows, once their digits and minus signs
-    are deleted, are the skeleton of an r x c matrix, r, c >= 1.  Every
-    digit and minus sign must lie inside an entry, and every entry must be
-    one _parse_int takes (_decimal_entries).  That is checked in a few
-    C-level passes over the bytes, and no entry becomes an object.  A row
-    text is the row's entries joined by '","'; canon_rows converts it.
-    On any other text this gives None; loads with matrix_rows_from_obj
-    then decodes it whole, and a caller that falls back to them answers
-    and fails as they do on every text.
+    data is a file's bytes or stdin's text, in the layout
+    {"ring":R,"rows":[["d",...],...]} plus trailing whitespace (the inverse of
+    _rows_text): R a Z, Z/m or GF(p) ring as dumps writes it, and the rows,
+    with digits and minus signs deleted, the skeleton of an r x c matrix,
+    r, c >= 1, every digit and minus sign inside an entry.  The entries are
+    left to decode_rows.  Any other text gives None.
     """
-    if not (text.isascii() and text.startswith('{"ring":')):
+    if type(data) is str and data.isascii():  # stdin's text
+        data = data.encode()
+    if not (data.isascii() and data.startswith(b'{"ring":')):
         return None
-    key = text.find(_ROWS_KEY)
-    start, stop = key + 8, text.rfind("}")  # the rows are text[start:stop]
-    if key < 8 or stop < start or text[stop + 1 :].strip(_JSON_SPACE):
+    key = data.find(b',"rows":[["')
+    start, stop = key + 8, data.rfind(b'"]]}') + 3  # the rows are data[start:stop]
+    if key < 8 or stop < start or data[stop + 1 :].strip(b" \t\n\r"):
         return None
-    if not text.endswith('"]]', start, stop):
+    head = data[:start].translate(None, b"0123456789-")
+    skeleton = data.translate(None, b"0123456789-")
+    # a row's skeleton is [""] and ,"" for each further entry
+    width = (skeleton.find(b"]", len(head)) - len(head) - 1) // 3
+    row = b"[" + b",".join([b'""'] * width) + b"]"
+    height = (len(skeleton) - len(head) - (len(data) - stop) - 1) // (len(row) + 1)
+    if width < 1 or skeleton != head + b"[" + b",".join([row] * height) + b"]" + data[stop:]:
         return None
-    height = _rows_height(text.encode(), start, stop)
-    if not height:
+    # '","' joins two entries of a row; a digit or minus sign between them breaks it
+    if data.count(b'","', start, stop) != height * (width - 1):
         return None
-    # the skeleton puts the end of every row at the next "]"
-    rows, i = [], start + 3
+    # a row ends at the next "]" (a memchr, faster than counting '"],["')
+    i = start
     for _ in range(height - 1):
-        j = text.find("]", i)
-        if not text.startswith('"],["', j - 1):  # a digit or minus sign next to "]"
+        i = data.find(b"]", i + 2)
+        if data[i - 1 : i + 4] != b'"],["':
             return None
-        rows.append(text[i : j - 1])
-        i = j + 4
-    rows.append(text[i : stop - 3])
-    # the ring last, so that a text whose rows are not canonical (say, one
-    # bad entry) does not decode it twice
-    ring_text = text[8:key]
+    # the ring last: a text whose rows are not canonical is not decoded twice
+    ring_text = data[8:key].decode()
     try:
         ring = ring_from_obj(loads(ring_text))
     except (SerializeError, RecursionError):
         return None
     if isinstance(ring, PolynomialRing) or _encode(ring_to_obj(ring)) != ring_text:
         return None
-    return ring, rows
+    return ring, height, data
 
 
-def _rows_height(data: bytes, start: int, stop: int) -> int:
-    """r when data[start:stop] holds an r x c matrix of decimal strings, else 0.
+def decode_rows(text: bytes) -> list | None:
+    """The rows in text, as lists of ints, in one JSON decode.
 
-    data[start:stop] runs from "[[" to "]]".  Digits and minus signs
-    between two rows are left to the caller.
+    text is a text matrix_rows_from_text takes, or rows of one cut out as
+    [[row, ...]].  With the quotes deleted, a JSON integer entry decodes to
+    the int _parse_int gives; None when one is not ("007", "", too long).
     """
-    head = data[:start].translate(None, _DIGITS_AND_MINUS)
-    skeleton = data.translate(None, _DIGITS_AND_MINUS)
-    tail = data[stop:]
-    # a row's skeleton is [""] and ,"" for each further entry
-    width = (skeleton.find(b"]", len(head)) - len(head) - 1) // 3
-    row = b"[" + b",".join([b'""'] * width) + b"]"
-    height = (len(skeleton) - len(head) - len(tail) - 1) // (len(row) + 1)
-    if width < 1 or skeleton != head + b"[" + b",".join([row] * height) + b"]" + tail:
-        return 0
-    # given the skeleton, a digit or minus sign between two entries of a
-    # row breaks one '","'
-    if data.count(b'","', start, stop) != height * (width - 1):
-        return 0
-    return height if _decimal_entries(data, b'"', start + 2, stop - 2) else 0
+    text = text.translate(None, b'"').decode()
+    try:
+        rows = _DECODER.raw_decode(text, text.index("[["))[0]
+    except ValueError:  # JSONDecodeError, or int() past the digit limit
+        return None
+    return rows if all(rows) else None  # [""] decodes to an empty row
 
 
 def canon_rows(ring: Ring, rows) -> tuple:
-    """Canonical rows, for Matrix(ring, ...), of rows from matrix_rows_from_obj
-    or matrix_rows_from_text."""
+    """Canonical rows, for Matrix(ring, ...), of rows from matrix_rows_from_obj or decode_rows."""
     canon_row = ring.canon_row
-    return tuple([canon_row(_int_row(r)) for r in rows])
-
-
-def _int_row(row) -> list:
-    if type(row) is str:  # a row text
-        return list(map(int, row.split('","')))
-    return list(map(int, row)) if type(row[0]) is str else row
+    return tuple([canon_row(list(map(int, r)) if type(r[0]) is str else r) for r in rows])
 
 
 def matrix_from_obj(obj) -> Matrix:

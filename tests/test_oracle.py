@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import random
+import time
 
 import pytest
 
@@ -295,6 +296,63 @@ def test_enumeration_guards():
         exhaustive_characterization(INT, 2)
     with pytest.raises(TooSmall):
         exhaustive_characterization(ModularRing(2), 1)
+
+
+class _SweepStarted(Exception):
+    pass
+
+
+def _refusal(monkeypatch, ring, n):
+    """The TooLargeToEnumerate message for (ring, n), or None when the sweep would start."""
+    def started(*args):
+        raise _SweepStarted
+
+    monkeypatch.setattr(oracle, "_block_fails", started)
+    try:
+        exhaustive_characterization(ring, n)
+    except TooLargeToEnumerate as exc:
+        return str(exc)
+    except _SweepStarted:
+        return None
+
+
+def test_the_work_budget_refuses_exactly_these_configurations(monkeypatch):
+    # every configuration the 10^6 matrix count accepts, and which of them
+    # the work of the spot checks refuses: Z/17..Z/31 at n = 2, Z/4 at n = 3
+    moved = []
+    for n, top in ((2, 31), (3, 4), (4, 2)):
+        for m in range(2, top + 1):
+            for ring in [ModularRing(m), PrimeFieldRing(m)] if rings.is_prime(m) else [ModularRing(m)]:
+                message = _refusal(monkeypatch, ring, n)
+                if message is not None:
+                    assert message.endswith(f" exceed the {oracle.WORK_BUDGET} work budget")
+                    moved.append((str(ring), n))
+    want = [(f"Z/{m}", 2) for m in range(17, 32)] + [(f"GF({p})", 2) for p in (17, 19, 23, 29, 31)]
+    assert sorted(moved) == sorted(want + [("Z/4", 3)])
+    # the matrix count still refuses first, with its own message
+    assert _refusal(monkeypatch, ModularRing(32), 2) == "32^4 matrices exceed the 1000000 budget"
+    assert _refusal(monkeypatch, ModularRing(5), 3) == "5^9 matrices exceed the 1000000 budget"
+
+
+@pytest.mark.parametrize("spec, n", [("mod:17", "2"), ("gf:31", "2"), ("mod:4", "3")])
+def test_exhaust_past_the_work_budget_exits_2_at_once(capsys, spec, n):
+    start = time.perf_counter()
+    code = cli.main(["exhaust", "--ring", spec, "--n", n])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.endswith(" work budget\n")
+    assert elapsed < 0.1
+
+
+def test_the_slowest_accepted_sweeps_answer_in_seconds():
+    # Z/16 at n = 2 and Z/2 at n = 4 do the most work the budget accepts
+    for m, n in ((16, 2), (2, 4)):
+        start = time.perf_counter()
+        report = exhaustive_characterization(ModularRing(m), n)
+        elapsed = time.perf_counter() - start
+        print(f"exhaust Z/{m} at n = {n}: {elapsed:.2f} s")
+        assert report.agree and report.total == m ** (n * n)
+        assert elapsed < 60
 
 
 def test_exhaust_small_rings_script_default_configs(capsys):

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 import sys
 import tracemalloc
 
@@ -25,12 +26,12 @@ from minortrace.matrices import MatrixError
 from minortrace.serialize import (
     SerializeError,
     _checked_int_row,
+    decode_rows,
     dumps,
     equivalence_report_to_obj,
     factors_to_obj,
     loads,
     matrix_from_obj,
-    matrix_rows_from_obj,
     matrix_rows_from_text,
     matrix_to_obj,
     parse_ring_spec,
@@ -319,24 +320,30 @@ def test_row_check_at_the_digit_limit(limit, filler, sign, past, at):
 
 def _full_decode(text):
     try:
-        ring, rows = matrix_rows_from_obj(loads(text))
+        return matrix_from_obj(loads(text))
     except (SerializeError, MatrixError):
         return None
-    return ring, serialize.canon_rows(ring, rows)
 
 
-def _agrees_with_the_full_decode(text: str) -> bool:
-    """A text matrix_rows_from_text takes decodes whole to the same ring and rows."""
-    taken = matrix_rows_from_text(text)
-    return taken is None or _full_decode(text) == (taken[0], serialize.canon_rows(*taken))
+def _full_read(text):
+    """The byte check and one decode of the rows, as cli's full read runs
+    them: a Matrix, or None where it falls back to the full decode."""
+    taken = matrix_rows_from_text(text.encode())
+    rows = taken and decode_rows(taken[2])
+    return rows and Matrix(taken[0], serialize.canon_rows(taken[0], rows))
+
+
+JSON_INTEGER = re.compile("-?(0|[1-9][0-9]*)")
 
 
 @pytest.mark.parametrize("limit", [0, 640, 4300])
 def test_the_text_check_takes_exactly_what_the_full_decode_takes(limit):
-    """matrix_rows_from_text on the text dumps writes: it takes the text
-    exactly when the full decode does, and every text one byte away in
-    the rows (a byte inserted, deleted or replaced) that it takes decodes
-    whole to the same ring and rows."""
+    """The full read of a canonical text (matrix_rows_from_text, then
+    decode_rows) on the text dumps writes over Z, Z/12, Z/(2^61-1) and
+    GF(65537): it gives the full decode's Matrix whenever every entry is a
+    JSON integer the full decode takes, and on every other text, and every
+    text one byte away (a byte inserted, deleted or replaced), it gives
+    that Matrix or falls back."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
@@ -362,14 +369,20 @@ def test_the_text_check_takes_exactly_what_the_full_decode_takes(limit):
             rows = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width),
                                       min_size=height, max_size=height))
             text = dumps({"ring": ring, "rows": rows}) + tail
-            assert (matrix_rows_from_text(text) is None) == (_full_decode(text) is None)
+            want, got = _full_decode(text), _full_read(text)
+            if want is not None and all(JSON_INTEGER.fullmatch(x) for row in rows for x in row):
+                assert got == want
+            assert got is None or got == want
             if len(text) > 200:  # a long entry: editing each of its digits shows nothing new
                 return
-            for at in range(text.find("[["), len(text) + 1):
-                for byte in '7-",]':
-                    assert _agrees_with_the_full_decode(text[:at] + byte + text[at:])
-                    assert _agrees_with_the_full_decode(text[:at] + byte + text[at + 1 :])
-                assert _agrees_with_the_full_decode(text[:at] + text[at + 1 :])
+            for at in range(len(text) + 1):
+                for byte in '70-",[] ':
+                    for edited in (text[:at] + byte + text[at:], text[:at] + byte + text[at + 1 :]):
+                        got = _full_read(edited)
+                        assert got is None or got == _full_decode(edited)
+                edited = text[:at] + text[at + 1 :]
+                got = _full_read(edited)
+                assert got is None or got == _full_decode(edited)
 
         check()
     finally:
