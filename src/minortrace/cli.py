@@ -34,14 +34,12 @@ from .serialize import (
     SerializeError,
     _decimal_entries,
     bench_result_to_obj,
-    canon_rows,
     decode_rows,
     dumps,
     equivalence_report_to_obj,
     factors_to_obj,
     loads,
     matrix_from_obj,
-    matrix_rows_from_obj,
     matrix_rows_from_text,
     matrix_to_obj,
     output_bits_over_limit,
@@ -97,30 +95,22 @@ def _load_matrix(path: str) -> Matrix:
     rows = parsed and decode_rows(parsed[2])
     if not rows:
         return matrix_from_obj(loads(_text(data)))
-    return Matrix(parsed[0], canon_rows(parsed[0], rows))
+    return Matrix.from_rows(parsed[0], rows)
 
 
 def _load_deciding_head(path: str, square: bool) -> tuple[Matrix, StructureVerdict | None]:
     """The matrix in path, with its verdict when rows 1-2 already decide it.
 
-    Rows 1-2 are converted and checked alone (on a square matrix, if square
-    is set).  A nonzero minor there is the first witness of the whole
-    matrix (see check_vanishing_minors): that verdict comes back with the
-    2-row matrix, the other rows checked but not converted.  Otherwise they
-    are converted too.  Texts _text_head refuses are decoded whole first.
+    On a text in the layout dumps writes, rows 1-2 are converted and checked
+    alone (on a square matrix, if square is set).  A nonzero minor there is
+    the first witness of the whole matrix (see check_vanishing_minors): that
+    verdict comes back with the 2-row matrix, the other rows checked but not
+    converted.  Any other text is decoded whole and has no verdict.
     """
     data = _read(path)
     parsed = matrix_rows_from_text(data)
     loaded = parsed and _text_head(*parsed, square)
-    if loaded:
-        return loaded
-    ring, rows = matrix_rows_from_obj(loads(_text(data)))
-    head = Matrix(ring, canon_rows(ring, rows[:2]))
-    if not (square and len(rows) != head.cols):
-        verdict = check_vanishing_minors(head)
-        if not verdict.structured:
-            return head, verdict
-    return Matrix(ring, head.data + canon_rows(ring, rows[2:])), None
+    return loaded or (matrix_from_obj(loads(_text(data))), None)
 
 
 def _text_head(ring, height: int, text: bytes, square: bool):
@@ -129,14 +119,14 @@ def _text_head(ring, height: int, text: bytes, square: bool):
     rows = decode_rows(text[: cut + 2] + b"]" if cut > 0 else text)
     if not rows:
         return None
-    head = Matrix(ring, canon_rows(ring, rows))
+    head = Matrix.from_rows(ring, rows)
     if not (square and height != head.cols):
         verdict = check_vanishing_minors(head)
         if not verdict.structured:
-            checked = cut < 0 or _decimal_entries(text, b'"', cut + 4, text.rindex(b'"]]') + 1)
+            checked = cut < 0 or _decimal_entries(text, cut + 4, text.rindex(b'"]]') + 1)
             return (head, verdict) if checked else None
     rest = decode_rows(b"[" + text[cut + 3 :]) if cut > 0 else ()
-    return None if rest is None else (Matrix(ring, head.data + canon_rows(ring, rest)), None)
+    return None if rest is None else (Matrix(ring, head.data + tuple(map(ring.canon_row, rest))), None)
 
 
 def _emit_precondition_witness(a: Matrix, witness: MinorWitness) -> int:

@@ -21,8 +21,8 @@ A matrix text in the layout dumps writes for a Z, Z/m or GF(p) matrix is
 read as bytes: matrix_rows_from_text checks it in a few passes, and
 decode_rows converts rows of it in one JSON decode.  Any other text, and
 one with an entry that is not a JSON integer ("007", past the digit cap),
-is decoded whole by loads and matrix_rows_from_obj, whose row checks give
-errors as the per-entry decode does.
+is decoded whole by loads and matrix_from_obj, which converts each row
+once and gives errors as the per-entry decode does.
 
 Matrices are emitted a row at a time: matrix_to_obj turns each row into
 decimal strings, and dumps writes a row of decimal strings with one join
@@ -39,7 +39,7 @@ import sys
 from itertools import chain
 
 from .bench import BenchResult
-from .matrices import Matrix, check_shape
+from .matrices import Matrix
 from .probe import ProbeReport
 from .oracle import EquivalenceReport
 from .rings import (
@@ -243,7 +243,7 @@ def elem_to_obj(ring: Ring, value):
 
 
 def elem_from_obj(ring: Ring, obj):
-    """Decode one element into raw form; canon_rows canonicalizes it."""
+    """Decode one element into raw form; Matrix.from_rows canonicalizes it."""
     if isinstance(ring, PolynomialRing):
         if not isinstance(obj, list):
             raise SerializeError(f"polynomial element expects an array, got {obj!r}")
@@ -267,89 +267,53 @@ def matrix_to_obj(m: Matrix) -> dict:
     return {"ring": ring_to_obj(ring), "rows": rows}
 
 
-def _decimal_row(row: list) -> bool:
-    """Whether every entry of a row is a string _parse_int takes, in a few passes.
+def _decimal_entries(text: bytes, start: int, stop: int) -> bool:
+    """Whether every entry in text[start:stop] is a decimal string _parse_int takes.
 
-    On a nonempty row this is exactly when list(map(int, row)) succeeds.
-    The passes run over the joined row, not entry by entry.
+    text[start:stop] is a stretch of the rows of a text matrix_rows_from_text
+    takes, from an entry's opening quote to an entry's closing quote.  An entry
+    passes when it is nonempty, ASCII digits after at most one minus sign,
+    and at most the int/str digit limit of digits.
     """
-    try:
-        joined = "".join(row)
-    except TypeError:  # not all strings
-        return False
-    # bytes.isdigit accepts exactly 0-9 and is false on b""
-    if not (joined.isascii() and joined.encode().replace(b"-", b"").isdigit()):
-        return False
-    marked = f",{','.join(row)},".encode()
-    return _decimal_entries(marked, b",", 0, len(marked))
-
-
-def _decimal_entries(marked: bytes, sep: bytes, start: int, stop: int) -> bool:
-    """Whether every entry in marked[start:stop] is a decimal string _parse_int takes.
-
-    marked[start:stop] begins and ends with sep, and holds only ASCII
-    digits, minus signs and sep bytes, except that stretches between two
-    entries may hold other bytes, but neither digits nor minus signs (the
-    '],[' between two rows of a matrix text).  An entry passes when it is
-    nonempty, ASCII digits after at most one minus sign, and at most the
-    int/str digit limit of digits.
-    """
-    if marked.find(sep + sep, start, stop) >= 0:  # an empty entry
+    if text.find(b'""', start, stop) >= 0:  # an empty entry
         return False
     # find is a memchr, which count is not
-    minus = marked.find(b"-", start, stop) >= 0 and marked.count(b"-", start, stop)
+    minus = text.find(b"-", start, stop) >= 0 and text.count(b"-", start, stop)
     # every minus sign leads its entry, and no entry is a lone minus
-    if minus and (
-        marked.count(sep + b"-", start, stop) != minus
-        or marked.find(sep + b"-" + sep, start, stop) >= 0
-    ):
+    if minus and (text.count(b'"-', start, stop) != minus or text.find(b'"-"', start, stop) >= 0):
         return False
     limit = sys.get_int_max_str_digits()
     if limit and stop - start > limit:
         # an entry longer than the limit covers a whole stretch of step
         # bytes, so the entries are measured only when some stretch holds
-        # no sep
+        # no quote
         step = (limit + 1) // 2
-        if any(marked.find(sep, i, i + step) < 0 for i in range(start, stop, step)):
+        if any(text.find(b'"', i, i + step) < 0 for i in range(start, stop, step)):
             # only a minus sign may take an entry one past the limit
-            pieces = marked[start:stop].split(sep)
+            pieces = text[start:stop].split(b'"')
             return all(len(x) - x.startswith(b"-") <= limit for x in pieces)
     return True
 
 
-def _checked_int_row(row: list) -> list:
-    """A row of integer elements, checked but not converted.
+def _int_row(row: list) -> list:
+    """A row of integer elements as ints.
 
-    A row of JSON integers (not bools) or of decimal strings comes back as
-    it is.  Any other row is decoded entry by entry through _parse_int, so
-    a bad entry raises with its own message, and a valid mixed row comes
-    back as ints.
+    A row of JSON integers (not bools) comes back as it is.  A row of
+    strings of ASCII digits and minus signs is converted by int(), which
+    on such text takes exactly the strings _parse_int takes.  Any other
+    row, or one int() refuses, is decoded entry by entry through
+    _parse_int, so a bad entry raises with its own message.
     """
-    if all_ints(row) or _decimal_row(row):
+    if all_ints(row):
         return row
+    try:
+        joined = "".join(row)
+        # bytes.isdigit accepts exactly 0-9 and is false on b""
+        if joined.isascii() and joined.encode().replace(b"-", b"").isdigit():
+            return list(map(int, row))
+    except (TypeError, ValueError):  # not all strings, or one int() refuses
+        pass
     return [_parse_int(x, "element") for x in row]
-
-
-def matrix_rows_from_obj(obj) -> tuple[Ring, list]:
-    """The ring and the rows of a matrix object, every row checked.
-
-    Errors come in the order of the per-entry decode: the ring, then the
-    first bad entry in row order, then the shape.  Integer-like rows are
-    not converted (canon_rows does that); polynomial rows come back
-    decoded into raw form.
-    """
-    if not isinstance(obj, dict) or "ring" not in obj or "rows" not in obj:
-        raise SerializeError('matrix object needs "ring" and "rows"')
-    ring = ring_from_obj(obj["ring"])
-    rows = obj["rows"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise SerializeError('"rows" must be an array of arrays')
-    if isinstance(ring, PolynomialRing):
-        rows = [[elem_from_obj(ring, x) for x in r] for r in rows]
-    else:
-        rows = list(map(_checked_int_row, rows))
-    check_shape(rows)
-    return ring, rows
 
 
 def matrix_rows_from_text(data) -> tuple[Ring, int, bytes] | None:
@@ -413,15 +377,21 @@ def decode_rows(text: bytes) -> list | None:
     return rows if all(rows) else None  # [""] decodes to an empty row
 
 
-def canon_rows(ring: Ring, rows) -> tuple:
-    """Canonical rows, for Matrix(ring, ...), of rows from matrix_rows_from_obj or decode_rows."""
-    canon_row = ring.canon_row
-    return tuple([canon_row(list(map(int, r)) if type(r[0]) is str else r) for r in rows])
-
-
 def matrix_from_obj(obj) -> Matrix:
-    ring, rows = matrix_rows_from_obj(obj)
-    return Matrix(ring, canon_rows(ring, rows))
+    """Decode a matrix object, one conversion per row.
+
+    Errors come in the order of the per-entry decode: the ring, then the
+    first bad entry in row order, then the shape.
+    """
+    if not isinstance(obj, dict) or "ring" not in obj or "rows" not in obj:
+        raise SerializeError('matrix object needs "ring" and "rows"')
+    ring = ring_from_obj(obj["ring"])
+    rows = obj["rows"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise SerializeError('"rows" must be an array of arrays')
+    if isinstance(ring, PolynomialRing):
+        return Matrix.from_rows(ring, ([elem_from_obj(ring, x) for x in r] for r in rows))
+    return Matrix.from_rows(ring, map(_int_row, rows))
 
 
 def output_bits_over_limit(bits: int) -> SerializeError | None:

@@ -1,11 +1,11 @@
 """check and probe decide from rows 1-2 when a minor there is nonzero.
 
-The rest of the file is still checked, so every answer, error and exit
-code must equal that of decoding the whole file first
-(support.check_or_probe_full_decode), and only the rows that decide are
-converted.  A file in the layout serialize.dumps writes is checked in byte
-passes and never decoded whole; any other text is, and both give the same
-answers.
+They do so only on a file in the layout serialize.dumps writes, which is
+checked in byte passes and never decoded whole.  The rest of such a file
+is still checked, so every answer, error and exit code must equal that of
+decoding the whole file first (support.check_or_probe_full_decode), and
+only the rows that decide are converted.  Any other text is decoded and
+decided whole, each row converted once, and gives the same answers.
 """
 
 import contextlib
@@ -124,6 +124,23 @@ def test_a_structured_matrix_converts_every_row_once(tmp_path, converted, comman
         code, _, _ = run_main([command, str(path)])
         assert code == 0
         assert converted == list(a.data)
+
+
+@pytest.mark.parametrize("command", ["check", "probe"])
+def test_a_spaced_file_converts_every_row_once(tmp_path, converted, command):
+    """json.dumps writes spaces, so the byte check refuses its text: it is
+    decoded whole, and answers as the same matrix written by dumps."""
+    for ring in HEAD_RINGS:
+        a = random_matrix(random.Random(7), ring, 64, 64)
+        obj = matrix_to_obj(a)
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps(obj))
+        converted.clear()
+        spaced = run_main([command, str(path)])
+        assert converted == list(a.data)
+        path.write_text(dumps(obj))
+        assert spaced == run_main([command, str(path)])
+        assert spaced[0] == 1
 
 
 def _text(rows: str, ring: str = '{"kind":"int"}', tail: str = "") -> str:

@@ -25,7 +25,8 @@ from minortrace import serialize
 from minortrace.matrices import MatrixError
 from minortrace.serialize import (
     SerializeError,
-    _checked_int_row,
+    _int_row,
+    _parse_int,
     decode_rows,
     dumps,
     equivalence_report_to_obj,
@@ -263,11 +264,16 @@ def _int_takes(row) -> bool:
     return True
 
 
+def _per_entry(row):
+    return [_parse_int(x, "element") for x in row]
+
+
 @pytest.mark.parametrize("limit", [0, 640, 4300])
 def test_row_check_takes_exactly_the_rows_int_takes(limit):
-    """Over rows of digits, minus signs and empty strings, the row check
-    passes a row unconverted exactly when int() takes every entry; the rest
-    go entry by entry and raise.  Long entries sit around the digit limit."""
+    """Over rows of digits, minus signs and empty strings, JSON integers
+    and True, a row whose every entry int() takes decodes to the ints
+    _parse_int gives; the rest go entry by entry and raise _parse_int's
+    error.  Long entries sit around the digit limit."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
@@ -278,16 +284,19 @@ def test_row_check_takes_exactly_the_rows_int_takes(limit):
             st.sampled_from(["", "-", "--", "7-", "-0"]),
             st.integers(around - 2, around + 1),
         )
-        rows = st.lists(st.one_of(short, short, long), max_size=5)
+        number = st.one_of(st.integers(-(2**64), 2**64), st.just(True))
+        rows = st.one_of(
+            st.lists(st.one_of(short, short, long), max_size=5),
+            st.lists(st.one_of(short, long, number), max_size=5),
+        )
 
         @given(row=rows)
         @settings(max_examples=300, deadline=None)
         def check(row):
-            try:
-                passed = _checked_int_row(row) is row
-            except SerializeError:
-                passed = False
-            assert passed == _int_takes(row)
+            got = _outcome(_int_row, row)
+            assert got == _outcome(_per_entry, row)
+            valid = all(type(x) is int or type(x) is str and _int_takes([x]) for x in row)
+            assert isinstance(got, list) == valid
 
         check()
     finally:
@@ -300,7 +309,7 @@ def test_row_check_takes_exactly_the_rows_int_takes(limit):
 @pytest.mark.parametrize("past", [0, 1])
 @pytest.mark.parametrize("at", [0, 40, -1])
 def test_row_check_at_the_digit_limit(limit, filler, sign, past, at):
-    """An entry of exactly the limit's digits passes and one digit more
+    """An entry of exactly the limit's digits decodes and one digit more
     raises, with or without a minus sign, among short entries whose digits
     together pass the limit."""
     saved = sys.get_int_max_str_digits()
@@ -311,9 +320,9 @@ def test_row_check_at_the_digit_limit(limit, filler, sign, past, at):
         row.insert(at % (len(row) + 1), long)
         if past:
             with pytest.raises(SerializeError, match=f"^element: {limit + 1} digits"):
-                _checked_int_row(row)
+                _int_row(row)
         else:
-            assert _checked_int_row(row) is row
+            assert _int_row(row) == _per_entry(row)
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -330,7 +339,7 @@ def _full_read(text):
     them: a Matrix, or None where it falls back to the full decode."""
     taken = matrix_rows_from_text(text.encode())
     rows = taken and decode_rows(taken[2])
-    return rows and Matrix(taken[0], serialize.canon_rows(taken[0], rows))
+    return rows and Matrix.from_rows(taken[0], rows)
 
 
 JSON_INTEGER = re.compile("-?(0|[1-9][0-9]*)")
