@@ -32,7 +32,6 @@ from .probe import ProbeReport, probe_converse, probe_witness
 from .rings import RingError
 from .serialize import (
     SerializeError,
-    _decimal_entries,
     bench_result_to_obj,
     decode_rows,
     dumps,
@@ -91,42 +90,47 @@ def _text(data) -> str:
 
 def _load_matrix(path: str) -> Matrix:
     data = _read(path)
-    parsed = matrix_rows_from_text(data)
+    return _full_read(data, matrix_rows_from_text(data))
+
+
+def _full_read(data, parsed, head: tuple = ()) -> Matrix:
+    """The matrix in data, parsed being matrix_rows_from_text(data).
+
+    Rows of a text matrix_rows_from_text takes (a rectangle) are converted
+    in one decode, but for head, its first rows converted already.  Any
+    other text, or one with an entry such as "007", is decoded whole.
+    """
     rows = parsed and decode_rows(parsed[2])
     if not rows:
         return matrix_from_obj(loads(_text(data)))
-    return Matrix.from_rows(parsed[0], rows)
+    ring = parsed[0]
+    return Matrix(ring, head + tuple(map(ring.canon_row, rows[len(head) :])))
 
 
 def _load_deciding_head(path: str, square: bool) -> tuple[Matrix, StructureVerdict | None]:
     """The matrix in path, with its verdict when rows 1-2 already decide it.
 
-    On a text in the layout dumps writes, rows 1-2 are converted and checked
-    alone (on a square matrix, if square is set).  A nonzero minor there is
-    the first witness of the whole matrix (see check_vanishing_minors): that
-    verdict comes back with the 2-row matrix, the other rows checked but not
-    converted.  Any other text is decoded whole and has no verdict.
+    On a text of 3 rows or more that matrix_rows_from_text takes (and that
+    is square, if square is set), rows 1-2 are converted and checked alone.
+    A nonzero minor there is the first witness of the whole matrix (see
+    check_vanishing_minors): that verdict comes back with the 2-row matrix.
+    Otherwise the full read converts the other rows and gives no verdict.
     """
     data = _read(path)
     parsed = matrix_rows_from_text(data)
-    loaded = parsed and _text_head(*parsed, square)
-    return loaded or (matrix_from_obj(loads(_text(data))), None)
-
-
-def _text_head(ring, height: int, text: bytes, square: bool):
-    """_load_deciding_head on a text matrix_rows_from_text takes; None: decode it whole."""
-    cut = text.find(b'"],["', text.find(b'"],["') + 1)  # after row 2, if a row follows
-    rows = decode_rows(text[: cut + 2] + b"]" if cut > 0 else text)
-    if not rows:
-        return None
-    head = Matrix.from_rows(ring, rows)
-    if not (square and height != head.cols):
-        verdict = check_vanishing_minors(head)
-        if not verdict.structured:
-            checked = cut < 0 or _decimal_entries(text, cut + 4, text.rindex(b'"]]') + 1)
-            return (head, verdict) if checked else None
-    rest = decode_rows(b"[" + text[cut + 3 :]) if cut > 0 else ()
-    return None if rest is None else (Matrix(ring, head.data + tuple(map(ring.canon_row, rest))), None)
+    head = ()
+    # r rows are r + 1 "[" in the text, and parsed[1] is the width
+    if parsed and not (square and parsed[2].count(b"[") - 1 != parsed[1]):
+        text = parsed[2]
+        cut = text.find(b'"],["', text.find(b'"],["') + 1)  # after row 2, if a row follows
+        rows = cut > 0 and decode_rows(text[: cut + 2] + b"]")
+        if rows:
+            two = Matrix.from_rows(parsed[0], rows)
+            verdict = check_vanishing_minors(two)
+            if not verdict.structured:
+                return two, verdict
+            head = two.data
+    return _full_read(data, parsed, head), None
 
 
 def _emit_precondition_witness(a: Matrix, witness: MinorWitness) -> int:

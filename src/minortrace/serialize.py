@@ -18,11 +18,11 @@ specs too, are JSON integers or plain decimal strings: ASCII digits after
 an optional minus, with no plus, space or underscore.
 
 A matrix text in the layout dumps writes for a Z, Z/m or GF(p) matrix is
-read as bytes: matrix_rows_from_text checks it in a few passes, and
-decode_rows converts rows of it in one JSON decode.  Any other text, and
-one with an entry that is not a JSON integer ("007", past the digit cap),
-is decoded whole by loads and matrix_from_obj, which converts each row
-once and gives errors as the per-entry decode does.
+read as bytes: matrix_rows_from_text matches its rows against one re
+pattern, and decode_rows converts rows of it in one JSON decode.  Any
+other text, and one with an entry that is no JSON integer ("007"), is
+decoded whole by loads and matrix_from_obj, which converts each row once
+and gives errors as the per-entry decode does.
 
 Matrices are emitted a row at a time: matrix_to_obj turns each row into
 decimal strings, and dumps writes a row of decimal strings with one join
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from itertools import chain
 
@@ -267,34 +268,6 @@ def matrix_to_obj(m: Matrix) -> dict:
     return {"ring": ring_to_obj(ring), "rows": rows}
 
 
-def _decimal_entries(text: bytes, start: int, stop: int) -> bool:
-    """Whether every entry in text[start:stop] is a decimal string _parse_int takes.
-
-    text[start:stop] is a stretch of the rows of a text matrix_rows_from_text
-    takes, from an entry's opening quote to an entry's closing quote.  An entry
-    passes when it is nonempty, ASCII digits after at most one minus sign,
-    and at most the int/str digit limit of digits.
-    """
-    if text.find(b'""', start, stop) >= 0:  # an empty entry
-        return False
-    # find is a memchr, which count is not
-    minus = text.find(b"-", start, stop) >= 0 and text.count(b"-", start, stop)
-    # every minus sign leads its entry, and no entry is a lone minus
-    if minus and (text.count(b'"-', start, stop) != minus or text.find(b'"-"', start, stop) >= 0):
-        return False
-    limit = sys.get_int_max_str_digits()
-    if limit and stop - start > limit:
-        # an entry longer than the limit covers a whole stretch of step
-        # bytes, so the entries are measured only when some stretch holds
-        # no quote
-        step = (limit + 1) // 2
-        if any(text.find(b'"', i, i + step) < 0 for i in range(start, stop, step)):
-            # only a minus sign may take an entry one past the limit
-            pieces = text[start:stop].split(b'"')
-            return all(len(x) - x.startswith(b"-") <= limit for x in pieces)
-    return True
-
-
 def _int_row(row: list) -> list:
     """A row of integer elements as ints.
 
@@ -317,40 +290,32 @@ def _int_row(row: list) -> list:
 
 
 def matrix_rows_from_text(data) -> tuple[Ring, int, bytes] | None:
-    """The ring, the row count r and the bytes of a text in the layout dumps writes, or None.
+    """The ring, the row width c and the bytes of a text in the layout dumps writes, or None.
 
     data is a file's bytes or stdin's text, in the layout
     {"ring":R,"rows":[["d",...],...]} plus trailing whitespace (the inverse of
-    _rows_text): R a Z, Z/m or GF(p) ring as dumps writes it, and the rows,
-    with digits and minus signs deleted, the skeleton of an r x c matrix,
-    r, c >= 1, every digit and minus sign inside an entry.  The entries are
-    left to decode_rows.  Any other text gives None.
+    _rows_text): R a Z, Z/m or GF(p) ring as dumps writes it, and the rows
+    an r x c matrix, r, c >= 1, whose entries _parse_int takes (ASCII
+    digits after an optional minus, at most the int/str digit limit of
+    them), checked in one re match with c read off row 1.  Any other text
+    gives None.
     """
     if type(data) is str and data.isascii():  # stdin's text
         data = data.encode()
     if not (data.isascii() and data.startswith(b'{"ring":')):
         return None
-    key = data.find(b',"rows":[["')
-    start, stop = key + 8, data.rfind(b'"]]}') + 3  # the rows are data[start:stop]
-    if key < 8 or stop < start or data[stop + 1 :].strip(b" \t\n\r"):
+    key = data.find(b',"rows":[[')
+    if key < 8:
         return None
-    head = data[:start].translate(None, b"0123456789-")
-    skeleton = data.translate(None, b"0123456789-")
-    # a row's skeleton is [""] and ,"" for each further entry
-    width = (skeleton.find(b"]", len(head)) - len(head) - 1) // 3
-    row = b"[" + b",".join([b'""'] * width) + b"]"
-    height = (len(skeleton) - len(head) - (len(data) - stop) - 1) // (len(row) + 1)
-    if width < 1 or skeleton != head + b"[" + b",".join([row] * height) + b"]" + data[stop:]:
+    width = data.count(b",", key + 10, data.find(b"]", key)) + 1
+    limit = sys.get_int_max_str_digits()
+    entry = rb'"-?+[0-9]' + (b"{1,%d}+" % limit if limit else b"++") + b'"'
+    # possessive (a failed match retries nothing) but for the fixed count,
+    # which matched faster plain
+    row = rb"\[" + entry + rb"(?:," + entry + rb"){%d}\]" % (width - 1)
+    rows = rb',"rows":\[' + row + rb"(?:," + row + rb")*+\]\}[ \t\n\r]*+"
+    if not re.compile(rows).fullmatch(data, key):
         return None
-    # '","' joins two entries of a row; a digit or minus sign between them breaks it
-    if data.count(b'","', start, stop) != height * (width - 1):
-        return None
-    # a row ends at the next "]" (a memchr, faster than counting '"],["')
-    i = start
-    for _ in range(height - 1):
-        i = data.find(b"]", i + 2)
-        if data[i - 1 : i + 4] != b'"],["':
-            return None
     # the ring last: a text whose rows are not canonical is not decoded twice
     ring_text = data[8:key].decode()
     try:
@@ -359,22 +324,20 @@ def matrix_rows_from_text(data) -> tuple[Ring, int, bytes] | None:
         return None
     if isinstance(ring, PolynomialRing) or _encode(ring_to_obj(ring)) != ring_text:
         return None
-    return ring, height, data
+    return ring, width, data
 
 
 def decode_rows(text: bytes) -> list | None:
     """The rows in text, as lists of ints, in one JSON decode.
 
-    text is a text matrix_rows_from_text takes, or rows of one cut out as
-    [[row, ...]].  With the quotes deleted, a JSON integer entry decodes to
-    the int _parse_int gives; None when one is not ("007", "", too long).
+    text is a text matrix_rows_from_text takes, or its rows 1-2 cut out as
+    [[row,row]]; None when an entry has leading zeros ("007", "-00").
     """
     text = text.translate(None, b'"').decode()
     try:
-        rows = _DECODER.raw_decode(text, text.index("[["))[0]
-    except ValueError:  # JSONDecodeError, or int() past the digit limit
+        return _DECODER.raw_decode(text, text.index("[["))[0]
+    except ValueError:  # JSONDecodeError
         return None
-    return rows if all(rows) else None  # [""] decodes to an empty row
 
 
 def matrix_from_obj(obj) -> Matrix:

@@ -83,9 +83,9 @@ def check_vanishing_minors(a: Matrix) -> StructureVerdict:
     (i, j, k, l), and every minor in rows (0, 1) comes before every other.
     So when rows 0-1 alone hold a nonzero minor, the witness found on
     those two rows is the witness of any matrix that begins with them.
-    On a file in the layout serialize.dumps writes, the CLI decides check
-    and probe that way without converting the rest; any other file is
-    decoded and decided whole, with the same witness.
+    On a text that serialize.matrix_rows_from_text takes (every entry
+    checked), the CLI decides check and probe that way without converting
+    the other rows; any other text is decided whole, with the same witness.
     """
     if _certify(a):
         return StructureVerdict(structured=True, witness=None)

@@ -1,11 +1,11 @@
 """check and probe decide from rows 1-2 when a minor there is nonzero.
 
-They do so only on a file in the layout serialize.dumps writes, which is
-checked in byte passes and never decoded whole.  The rest of such a file
-is still checked, so every answer, error and exit code must equal that of
-decoding the whole file first (support.check_or_probe_full_decode), and
-only the rows that decide are converted.  Any other text is decoded and
-decided whole, each row converted once, and gives the same answers.
+They do so only on a file in the layout serialize.dumps writes, which one
+re match checks, entries and all, and which is never decoded whole.  So
+every answer, error and exit code must equal that of decoding the whole
+file first (support.check_or_probe_full_decode), and only the rows that
+decide are converted.  Any other text is decoded and decided whole, each
+row converted once, and gives the same answers.
 """
 
 import contextlib
@@ -163,15 +163,15 @@ BIG = "9" * 5000
 CANONICAL_LOOKING = [
     ("leading-zeros", _last('"007"'), True),
     ("minus-zero", _last('"-0"'), True),
-    ("empty", _last('""'), True),
-    ("lone-minus", _last('"-"'), True),
-    ("double-minus", _last('"--1"'), True),
-    ("inner-minus", _last('"1-2"'), True),
+    ("empty", _last('""'), False),
+    ("lone-minus", _last('"-"'), False),
+    ("double-minus", _last('"--1"'), False),
+    ("inner-minus", _last('"1-2"'), False),
     ("json-escape", _last('"\\u0031"'), False),
     ("arabic-indic-digit", _last('"\u0665"'), False),
     ("leading-space", _last('" 7"'), False),
     ("4300-digits", _last('"' + "7" * 4300 + '"'), True),
-    ("4301-digits", _last('"' + "7" * 4301 + '"'), True),
+    ("4301-digits", _last('"' + "7" * 4301 + '"'), False),
     ("minus-4300-digits", _last('"-' + "7" * 4300 + '"'), True),
     ("json-integer", _last("7"), False),
     ("stray-digit-in-a-row", _text('[["1"5,"2"],["3","4"]]'), False),
@@ -188,12 +188,12 @@ CANONICAL_LOOKING = [
     ("row-1-minus-leading-zeros", _first('"-007"'), True),
     ("row-1-minus-zero", _first('"-0"'), True),
     ("row-1-4300-digits", _first('"' + "7" * 4300 + '"'), True),
-    ("row-1-4301-digits", _first('"' + "7" * 4301 + '"'), True),
+    ("row-1-4301-digits", _first('"' + "7" * 4301 + '"'), False),
     ("stray-digit-after-row-3", _text('[["1","2"],["3","4"],["5","6"]5,["7","8"]]'), False),
-    ("empty-entry-after-row-2", _text('[["1","2"],["3","4"],["5",""]]'), True),
-    ("bad-entry-after-a-deciding-head", _text('[["1","2"],["3","4"],["5","1-2"]]'), True),
-    ("long-entry-after-a-deciding-head", _text('[["1","2"],["3","4"],["5","' + "7" * 4301 + '"]]'), True),
-    ("nx1-empty-entry", _text('[["1"],[""],["3"]]'), True),
+    ("empty-entry-after-row-2", _text('[["1","2"],["3","4"],["5",""]]'), False),
+    ("bad-entry-after-a-deciding-head", _text('[["1","2"],["3","4"],["5","1-2"]]'), False),
+    ("long-entry-after-a-deciding-head", _text('[["1","2"],["3","4"],["5","' + "7" * 4301 + '"]]'), False),
+    ("nx1-empty-entry", _text('[["1"],[""],["3"]]'), False),
     ("trailing-garbage", _last('"7"') + "x", False),
     ("duplicate-rows", _text('[["1","2"],["3","4"]],"rows":[["1","2"],["2","4"]]'), False),
     ("swapped-keys", '{"rows":[["1","2"],["3","4"]],"ring":{"kind":"int"}}', False),

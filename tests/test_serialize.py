@@ -398,6 +398,112 @@ def test_the_text_check_takes_exactly_what_the_full_decode_takes(limit):
         sys.set_int_max_str_digits(saved)
 
 
+def _canonical(text) -> bool:
+    """Whether text is in the layout matrix_rows_from_text takes, said plainly.
+
+    An ASCII text whose JSON object has exactly the keys "ring" and "rows",
+    that dumps writes byte for byte but for trailing whitespace, over a Z,
+    Z/m or GF(p) ring that re-encodes as written, with a nonempty
+    rectangle of nonempty rows of strings _parse_int takes.
+    """
+    if not text.isascii():
+        return False
+    if isinstance(text, bytes):
+        text = text.decode()
+    try:
+        obj = json.loads(text)
+    except ValueError:  # JSONDecodeError, or a JSON number past the digit limit
+        return False
+    if not (type(obj) is dict and obj.keys() == {"ring", "rows"}):
+        return False
+    if text.rstrip(" \t\n\r") != _json_dumps(obj):
+        return False
+    try:
+        ring = ring_from_obj(obj["ring"])
+    except SerializeError:
+        return False
+    if isinstance(ring, PolynomialRing) or ring_to_obj(ring) != obj["ring"]:
+        return False
+    rows = obj["rows"]
+    if not (type(rows) is list and rows and all(type(r) is list and r for r in rows)):
+        return False
+    if any(len(r) != len(rows[0]) for r in rows):
+        return False
+    entries = [x for r in rows for x in r]
+    if not all(type(x) is str for x in entries):
+        return False
+    try:
+        for x in entries:
+            _parse_int(x, "element")
+    except SerializeError:
+        return False
+    return True
+
+
+@st.composite
+def edited_matrix_texts(draw, around):
+    """dumps of a Z, Z/12, Z/(2^61-1) or GF(65537) matrix, then maybe a bad
+    entry, a JSON number entry, a ragged row, a whitespace tail or a
+    one-byte edit."""
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    valid = st.integers(-999, 999).map(str)
+    rows = [[draw(valid) for _ in range(width)] for _ in range(height)]
+    bad = st.sampled_from(
+        ["", "-", "--1", "1-2", "7-", "007", "-0", "-007", " 7", "1_0", "+5", "\u0665", "1.5",
+         "7" * around, "-" + "7" * around, "7" * (around + 1), "-" + "7" * (around + 1)]
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        r, c = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        fault = draw(st.sampled_from(["entry", "number", "short", "long", "empty", "none"]))
+        if fault == "entry" and c < len(rows[r]):
+            rows[r][c] = draw(bad)
+        elif fault == "number" and c < len(rows[r]):
+            rows[r][c] = draw(st.integers(-999, 999))
+        elif fault == "short":
+            rows[r] = rows[r][:-1]
+        elif fault == "long":
+            rows[r] = rows[r] + ["1"]
+        elif fault == "empty":
+            rows[r] = []
+    if draw(st.integers(0, 9)) == 0:
+        rows = []
+    text = dumps({"ring": draw(st.sampled_from(RING_OBJS)), "rows": rows}).encode()
+    text += draw(st.sampled_from([b"", b"\n", b" \t\r\n", b"\x0b", b"\x00", b"x"]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        byte = draw(st.sampled_from(list(b'70-",[]{}: \n') + [0xFF]))
+        text = draw(st.sampled_from([
+            text[:at] + bytes([byte]) + text[at:],
+            text[:at] + bytes([byte]) + text[at + 1 :],
+            text[:at] + text[at + 1 :],
+        ]))
+    return text
+
+
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+def test_the_text_check_takes_exactly_the_canonical_texts(limit):
+    """matrix_rows_from_text takes a text, as a file's bytes or as stdin's
+    str, exactly when the plain reference _canonical calls it canonical,
+    and then gives the width of its rows."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+
+        @given(text=edited_matrix_texts(limit or 4300))
+        @settings(max_examples=300, deadline=None)
+        def check(text):
+            want = _canonical(text)
+            for form in (text, text.decode("latin-1")):
+                taken = matrix_rows_from_text(form)
+                assert (taken is not None) == want
+                if taken:
+                    assert taken[1] == len(json.loads(text)["rows"][0])
+
+        check()
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _json_dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
