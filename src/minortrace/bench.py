@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass
 
 from .kernels import naive_aba, structured_aba
-from .matrices import Matrix
 from .rings import ModularRing, Ring
 from .structure import outer, random_matrix
 

@@ -21,8 +21,8 @@ A matrix text in the layout dumps writes for a Z, Z/m or GF(p) matrix is
 read as bytes: matrix_rows_from_text matches its rows against one re
 pattern, and decode_rows converts rows of it in one JSON decode.  Any
 other text, and one with an entry that is no JSON integer ("007"), is
-decoded whole by loads and matrix_from_obj, which converts each row once
-and gives errors as the per-entry decode does.
+decoded whole by loads and matrix_from_obj, which reads each entry by the
+rule ring parameters use.
 
 Matrices are emitted a row at a time: matrix_to_obj turns each row into
 decimal strings, and dumps writes a row of decimal strings with one join
@@ -49,8 +49,6 @@ from .rings import (
     PolynomialRing,
     PrimeFieldRing,
     Ring,
-    RingElem,
-    all_ints,
 )
 from .structure import MinorWitness, OuterFactors, StructureVerdict
 
@@ -268,27 +266,6 @@ def matrix_to_obj(m: Matrix) -> dict:
     return {"ring": ring_to_obj(ring), "rows": rows}
 
 
-def _int_row(row: list) -> list:
-    """A row of integer elements as ints.
-
-    A row of JSON integers (not bools) comes back as it is.  A row of
-    strings of ASCII digits and minus signs is converted by int(), which
-    on such text takes exactly the strings _parse_int takes.  Any other
-    row, or one int() refuses, is decoded entry by entry through
-    _parse_int, so a bad entry raises with its own message.
-    """
-    if all_ints(row):
-        return row
-    try:
-        joined = "".join(row)
-        # bytes.isdigit accepts exactly 0-9 and is false on b""
-        if joined.isascii() and joined.encode().replace(b"-", b"").isdigit():
-            return list(map(int, row))
-    except (TypeError, ValueError):  # not all strings, or one int() refuses
-        pass
-    return [_parse_int(x, "element") for x in row]
-
-
 def matrix_rows_from_text(data) -> tuple[Ring, int, bytes] | None:
     """The ring, the row width c and the bytes of a text in the layout dumps writes, or None.
 
@@ -341,10 +318,10 @@ def decode_rows(text: bytes) -> list | None:
 
 
 def matrix_from_obj(obj) -> Matrix:
-    """Decode a matrix object, one conversion per row.
+    """Decode a matrix object entry by entry through elem_from_obj.
 
-    Errors come in the order of the per-entry decode: the ring, then the
-    first bad entry in row order, then the shape.
+    Errors come in order: the ring, then the first bad entry in row order,
+    then the shape.
     """
     if not isinstance(obj, dict) or "ring" not in obj or "rows" not in obj:
         raise SerializeError('matrix object needs "ring" and "rows"')
@@ -352,9 +329,7 @@ def matrix_from_obj(obj) -> Matrix:
     rows = obj["rows"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise SerializeError('"rows" must be an array of arrays')
-    if isinstance(ring, PolynomialRing):
-        return Matrix.from_rows(ring, ([elem_from_obj(ring, x) for x in r] for r in rows))
-    return Matrix.from_rows(ring, map(_int_row, rows))
+    return Matrix.from_rows(ring, ([elem_from_obj(ring, x) for x in r] for r in rows))
 
 
 def output_bits_over_limit(bits: int) -> SerializeError | None:

@@ -270,10 +270,10 @@ def _refuse(text):
 def test_loading_holds_no_whole_file_str(tmp_path, make):
     """Both loaders read the 256x256 Z/(2^61-1) file as bytes: beside the
     matrix they return, their peak holds the file's bytes and at most one
-    pass's buffer (a translate, or the de-quoted rows the decode reads),
-    never also a str of the whole file.  Measured: about 1.9 times the
-    file for the full read and 2.0 for rows 1-2, where reading text (a str
-    of the file, its bytes again for the check, its rows as strs) took 2.0
+    pass's buffer (the de-quoted rows the decode reads), never also a str
+    of the whole file.  Measured: about 1.9 times the file for a read that
+    converts every row and 1.0 for rows 1-2, where reading text (a str of
+    the file, its bytes again for the check, its rows as strs) took 2.0
     and 3.0."""
     ring = HEAD_RINGS[0]
     a = random_matrix(random.Random(5), ring, 256, 256) if make == "random" else gen_structured(5, ring, 256)
@@ -289,4 +289,4 @@ def test_loading_holds_no_whole_file_str(tmp_path, make):
         finally:
             tracemalloc.stop()
         assert got.data == a.data[: got.rows]  # rows 1-2 alone when they hold a witness
-        assert peak - kept < 2.5 * size
+        assert peak - kept < (1.5 if got.rows == 2 else 2.5) * size

@@ -25,7 +25,6 @@ from minortrace import serialize
 from minortrace.matrices import MatrixError
 from minortrace.serialize import (
     SerializeError,
-    _int_row,
     _parse_int,
     decode_rows,
     dumps,
@@ -268,12 +267,17 @@ def _per_entry(row):
     return [_parse_int(x, "element") for x in row]
 
 
+def _row_decode(row):
+    """The one row of a Z matrix object with that row, decoded, as a list."""
+    return list(matrix_from_obj({"ring": {"kind": "int"}, "rows": [row]}).data[0])
+
+
 @pytest.mark.parametrize("limit", [0, 640, 4300])
 def test_row_check_takes_exactly_the_rows_int_takes(limit):
     """Over rows of digits, minus signs and empty strings, JSON integers
     and True, a row whose every entry int() takes decodes to the ints
-    _parse_int gives; the rest go entry by entry and raise _parse_int's
-    error.  Long entries sit around the digit limit."""
+    _parse_int gives; the rest raise _parse_int's error for their first
+    bad entry.  Long entries sit around the digit limit."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
@@ -286,14 +290,14 @@ def test_row_check_takes_exactly_the_rows_int_takes(limit):
         )
         number = st.one_of(st.integers(-(2**64), 2**64), st.just(True))
         rows = st.one_of(
-            st.lists(st.one_of(short, short, long), max_size=5),
-            st.lists(st.one_of(short, long, number), max_size=5),
+            st.lists(st.one_of(short, short, long), min_size=1, max_size=5),
+            st.lists(st.one_of(short, long, number), min_size=1, max_size=5),
         )
 
         @given(row=rows)
         @settings(max_examples=300, deadline=None)
         def check(row):
-            got = _outcome(_int_row, row)
+            got = _outcome(_row_decode, row)
             assert got == _outcome(_per_entry, row)
             valid = all(type(x) is int or type(x) is str and _int_takes([x]) for x in row)
             assert isinstance(got, list) == valid
@@ -320,9 +324,9 @@ def test_row_check_at_the_digit_limit(limit, filler, sign, past, at):
         row.insert(at % (len(row) + 1), long)
         if past:
             with pytest.raises(SerializeError, match=f"^element: {limit + 1} digits"):
-                _int_row(row)
+                _row_decode(row)
         else:
-            assert _int_row(row) == _per_entry(row)
+            assert _row_decode(row) == _per_entry(row)
     finally:
         sys.set_int_max_str_digits(saved)
 
