@@ -13,24 +13,18 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from dataclasses import dataclass
 
 from .kernels import naive_aba, structured_aba
-from .rings import ModularRing, Ring
+from .rings import ModularRing, Ring, _Record
 from .structure import outer, random_matrix
 
 DEFAULT_BENCH_MODULUS = 2**61 - 1
 
 
-@dataclass(frozen=True)
-class BenchResult:
-    n: int
-    ring: Ring
-    reps: int
-    naive_median: float
-    fast_median: float
-    speedup: float
-    agreement_checked: bool
+class BenchResult(_Record):
+    """One run_bench row: the naive and fast median seconds, their ratio, and the check done."""
+
+    _fields = ("n", "ring", "reps", "naive_median", "fast_median", "speedup", "agreement_checked")
 
 
 def run_bench(n: int, ring: Ring | None = None, reps: int = 5, seed: int = 0) -> BenchResult:

@@ -8,11 +8,10 @@ The naive routines are kept alongside as oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .matrices import Matrix, ShapeMismatch, _square_pair
-from .rings import IntegerRing, RingElem, RingMismatch
+from .rings import IntegerRing, RingElem, RingMismatch, _Record
 from .structure import MinorWitness, OuterFactors, check_vanishing_minors
 
 
@@ -117,16 +116,13 @@ def trace_product_via_outer(factors: OuterFactors, b: Matrix) -> RingElem:
     return ((factors.row @ b) @ factors.col).scalar()
 
 
-@dataclass(frozen=True)
-class CorollaryResiduals:
+class CorollaryResiduals(_Record):
     """Residuals of the three identities that follow for structured A.
 
     (AB)^2 = Tr(AB) AB,   Tr(ABA) = Tr(AB) Tr(A),   Tr(A^2) = Tr(A)^2.
     """
 
-    product_square: Matrix
-    trace_triple: RingElem
-    trace_square: RingElem
+    _fields = ("product_square", "trace_triple", "trace_square")
 
     def all_zero(self) -> bool:
         return (

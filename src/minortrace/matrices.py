@@ -12,10 +12,9 @@ one dot product per entry over two-variable polynomial rings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
-from .rings import Ring, RingElem, RingMismatch
+from .rings import Ring, RingElem, RingMismatch, _Record
 
 
 class MatrixError(Exception):
@@ -42,6 +41,10 @@ class IndexOutOfRange(MatrixError):
     """Row or column index outside the matrix."""
 
 
+class TooLargeToEnumerate(Exception):
+    """The ring/order combination exceeds the enumeration budget of oracle."""
+
+
 def check_shape(rows) -> None:
     """Raise ShapeMismatch unless rows is a nonempty sequence of nonempty rows of one width."""
     if not rows:
@@ -63,20 +66,17 @@ def _square_pair(a: Matrix, b: Matrix) -> None:
         )
 
 
-@dataclass(frozen=True)
-class MinorIndex:
+class MinorIndex(_Record):
     """Rows i < j and columns k < l selecting a 2x2 submatrix (0-based)."""
 
-    i: int
-    j: int
-    k: int
-    l: int
+    _fields = ("i", "j", "k", "l")
 
-    def __post_init__(self):
-        if self.i < 0 or self.k < 0:
+    def __init__(self, i: int, j: int, k: int, l: int):
+        if i < 0 or k < 0:
             raise ValueError("minor indices must be nonnegative")
-        if not (self.i < self.j and self.k < self.l):
+        if not (i < j and k < l):
             raise ValueError("minor indices require i < j and k < l")
+        super().__init__(i, j, k, l)
 
 
 class Matrix:
@@ -257,14 +257,10 @@ class Matrix:
         return BlockSplit(corner=corner, last_row=last_row, last_col=last_col, pivot=pivot)
 
 
-@dataclass(frozen=True)
-class BlockSplit:
+class BlockSplit(_Record):
     """The lossless partition (corner, last row, last column, pivot)."""
 
-    corner: Matrix
-    last_row: Matrix
-    last_col: Matrix
-    pivot: RingElem
+    _fields = ("corner", "last_row", "last_col", "pivot")
 
 
 def block_join(split: BlockSplit) -> Matrix:

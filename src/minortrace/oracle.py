@@ -28,15 +28,10 @@ packed integer into its fields come from the packed-field codec in rings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .matrices import Matrix, NotSquare, TooSmall, _square_pair
+from .matrices import Matrix, NotSquare, TooLargeToEnumerate, TooSmall, _square_pair
 from .rings import IntegerRing, ModularRing, PrimeFieldRing, Ring
-from .rings import _bump, _field_format, _repunit, _unpack
-
-
-class TooLargeToEnumerate(Exception):
-    """The ring/order combination exceeds the enumeration budget."""
+from .rings import _Record, _bump, _field_format, _repunit, _unpack
 
 
 ENUMERATION_BUDGET = 10**6  # max matrices per exhaustive sweep
@@ -136,8 +131,7 @@ def universal_identity_by_enumeration(a: Matrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Record):
     """Cross-classification of all n x n matrices over a finite ring.
 
     set_identity counts matrices satisfying the identity for every B;
@@ -146,13 +140,7 @@ class EquivalenceReport:
     as counts); mismatches lists up to 10 offenders in enumeration order.
     """
 
-    ring: Ring
-    n: int
-    total: int
-    set_identity: int
-    set_minors: int
-    agree: bool
-    mismatches: tuple[Matrix, ...]
+    _fields = ("ring", "n", "total", "set_identity", "set_minors", "agree", "mismatches")
 
 
 MISMATCH_CAP = 10

@@ -10,23 +10,19 @@ used by the size-induction argument for the forward direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .matrices import (
     BlockSplit,
     Matrix,
-    MinorIndex,
     NotSquare,
     TooSmall,
     _square_pair,
     block_join,
 )
-from .rings import RingElem
+from .rings import RingElem, _Record
 from .structure import MinorWitness, check_vanishing_minors
 
 
-@dataclass(frozen=True)
-class ProbeWitness:
+class ProbeWitness(_Record):
     """A concrete violation of the triple-product identity.
 
     The probe matrix B is the unit matrix with a single 1 at
@@ -35,20 +31,13 @@ class ProbeWitness:
     difference is minus the witnessed minor.
     """
 
-    minor: MinorIndex
-    minor_value: RingElem
-    unit_row: int
-    unit_col: int
-    entry_row: int
-    entry_col: int
-    lhs: RingElem
-    rhs: RingElem
+    _fields = ("minor", "minor_value", "unit_row", "unit_col", "entry_row", "entry_col", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    structured: bool
-    witness: ProbeWitness | None
+class ProbeReport(_Record):
+    """Whether A is structured, and if not the ProbeWitness of its first nonzero minor."""
+
+    _fields = ("structured", "witness")
 
 
 def probe_converse(a: Matrix) -> ProbeReport:
@@ -87,18 +76,14 @@ def probe_witness(a: Matrix, witness: MinorWitness) -> ProbeWitness:
     )
 
 
-@dataclass(frozen=True)
-class InductionResiduals:
+class InductionResiduals(_Record):
     """Residuals of the four block equalities behind the induction step.
 
     All four vanish exactly when computed on a matrix A with vanishing
     2x2 minors (any B); a nonzero residual exhibits the failure point.
     """
 
-    r1: Matrix
-    r2: Matrix
-    r3: Matrix
-    r4: RingElem
+    _fields = ("r1", "r2", "r3", "r4")
 
     def all_zero(self) -> bool:
         return (

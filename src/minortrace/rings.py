@@ -33,7 +33,7 @@ import sys
 from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
 
 
@@ -49,15 +49,63 @@ class UnsupportedRing(RingError):
     """Operation not defined for this ring family."""
 
 
+class _Record:
+    """Base of the package's value classes: a frozen dataclass, without its cost to define.
+
+    ``__init__`` takes one value per name in ``_fields``, by position or by
+    name (a subclass with checks or defaults wraps it).  Instances are
+    immutable, equal when of one class with equal fields, hash by the
+    fields and print as ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple = ()
+
+    def __init__(self, *values, **named):
+        names = self._fields
+        if named:
+            values += tuple(named.pop(name) for name in names[len(values) :] if name in named)
+        if named or len(values) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)  # what __eq__ and __hash__ compare
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # Operation counting (test instrumentation; off unless count_ops is active)
 
-@dataclass
 class OpCounts:
     """Ring multiplications and additions performed inside a count_ops block."""
 
-    mul: int = 0
-    add: int = 0
+    def __init__(self, mul: int = 0, add: int = 0):
+        self.mul = mul
+        self.add = add
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mul, self.add) == (other.mul, other.add)  # unhashable, as counts change
+
+    def __repr__(self):
+        return f"OpCounts(mul={self.mul!r}, add={self.add!r})"
 
 
 _ACTIVE_COUNTS: ContextVar[OpCounts | None] = ContextVar("ring_op_counts", default=None)
@@ -129,6 +177,12 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache
+def _is_prime_once(p: int) -> bool:
+    """is_prime(p), computed once per p: every GF(p) file read builds a ring."""
+    return is_prime(p)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +381,14 @@ class Ring:
         return RingElem(self, self.canon(value))
 
 
-class _ResidueRing(Ring):
+class _ResidueRing(Ring, _Record):
     """Arithmetic on plain ints mod m, shared by Z, Z/m and GF(p).
 
     Values are reduced into [0, m) over Z/m and GF(p).  Z is the residue
     ring Z/0: with ``_m`` 0 every method skips its reduction, and the packed
-    product works with signed fields.  Each subclass is a frozen dataclass:
-    IntegerRing sets ``_m = 0`` on the class, and ModularRing and
-    PrimeFieldRing validate their public field in __post_init__ and store
+    product works with signed fields.  Each subclass is an immutable
+    record: IntegerRing sets ``_m = 0`` on the class, and ModularRing and
+    PrimeFieldRing validate their public field in ``__init__`` and store
     it as ``_m``.  The families stay separate classes, none subclassing
     another, because callers dispatch on them.
     """
@@ -411,7 +465,6 @@ class _ResidueRing(Ring):
         return tuple(tuple(map(finish, fields)) for fields in rows)
 
 
-@dataclass(frozen=True)
 class IntegerRing(_ResidueRing):
     """The ring of integers (arbitrary precision), the residue ring Z/0."""
 
@@ -421,33 +474,33 @@ class IntegerRing(_ResidueRing):
         return "Z"
 
 
-@dataclass(frozen=True)
 class ModularRing(_ResidueRing):
     """The residue ring Z/m; m >= 2, composite moduli welcome."""
 
-    modulus: int
+    _fields = ("modulus",)
 
-    def __post_init__(self):
-        if not isinstance(self.modulus, int) or self.modulus < 2:
-            raise ValueError(f"modulus must be an integer >= 2, got {self.modulus!r}")
-        object.__setattr__(self, "_m", self.modulus)
+    def __init__(self, modulus: int):
+        if not isinstance(modulus, int) or modulus < 2:
+            raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
+        super().__init__(modulus)
+        object.__setattr__(self, "_m", modulus)
 
     def __str__(self):
         return f"Z/{self.modulus}"
 
 
-@dataclass(frozen=True)
 class PrimeFieldRing(_ResidueRing):
     """The prime field GF(p), p below psi_13, where is_prime is exact."""
 
-    p: int
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise ValueError(f"prime field order must be prime, got {self.p!r}")
-        if self.p >= _PSI_13:
-            raise ValueError(f"primality is proven only below {_PSI_13}, got {self.p}")
-        object.__setattr__(self, "_m", self.p)
+    def __init__(self, p: int):
+        if not isinstance(p, int) or not _is_prime_once(p):
+            raise ValueError(f"prime field order must be prime, got {p!r}")
+        if p >= _PSI_13:
+            raise ValueError(f"primality is proven only below {_PSI_13}, got {p}")
+        super().__init__(p)
+        object.__setattr__(self, "_m", p)
 
     def __str__(self):
         return f"GF({self.p})"
@@ -469,8 +522,7 @@ def _strip(coeffs) -> tuple:
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True)
-class PolynomialRing(Ring):
+class PolynomialRing(Ring, _Record):
     """Univariate polynomials over a base ring, coefficients low degree first.
 
     Over Z, Z/m and GF(p) (depth 1) the coefficients are plain ints, and
@@ -478,16 +530,16 @@ class PolynomialRing(Ring):
     a depth-2 ring goes through its base ring's methods.
     """
 
-    base: Ring
-    var: str = "x"
+    _fields = ("base", "var")
 
-    def __post_init__(self):
-        if not isinstance(self.var, str) or not self.var.isidentifier():
-            raise ValueError(f"variable must be an identifier, got {self.var!r}")
+    def __init__(self, base: Ring, var: str = "x"):
+        if not isinstance(var, str) or not var.isidentifier():
+            raise ValueError(f"variable must be an identifier, got {var!r}")
+        super().__init__(base, var)
         if _poly_depth(self) > 2:
             raise ValueError("polynomial nesting is capped at depth 2")
         # the plain-int coefficient modulus (0 over Z), None over polynomials
-        object.__setattr__(self, "_coeff_mod", getattr(self.base, "_m", None))
+        object.__setattr__(self, "_coeff_mod", getattr(base, "_m", None))
 
     @property
     def zero(self):

@@ -39,10 +39,7 @@ import re
 import sys
 from itertools import chain
 
-from .bench import BenchResult
 from .matrices import Matrix
-from .probe import ProbeReport
-from .oracle import EquivalenceReport
 from .rings import (
     IntegerRing,
     ModularRing,

@@ -10,7 +10,6 @@ and generates random members for tests and benchmarks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, isqrt
 
@@ -24,6 +23,7 @@ from .rings import (
     RingElem,
     RingMismatch,
     UnsupportedRing,
+    _Record,
     _ResidueRing,
     _bump,
 )
@@ -33,38 +33,34 @@ class NoNilpotentScalar(Exception):
     """The ring has no nonzero scalar s with s*s = 0."""
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(_Record):
     """A nonzero 2x2 minor: its index and its value."""
 
-    index: MinorIndex
-    value: RingElem
+    _fields = ("index", "value")
 
 
-@dataclass(frozen=True)
-class StructureVerdict:
+class StructureVerdict(_Record):
     """Outcome of the vanishing-minor scan."""
 
-    structured: bool
-    witness: MinorWitness | None
+    _fields = ("structured", "witness")
 
-    def __post_init__(self):
-        if self.structured == (self.witness is not None):
+    def __init__(self, structured: bool, witness: MinorWitness | None):
+        if structured == (witness is not None):
             raise ValueError("structured verdicts carry no witness, and vice versa")
+        super().__init__(structured, witness)
 
 
-@dataclass(frozen=True)
-class OuterFactors:
+class OuterFactors(_Record):
     """A column-row factorization col @ row of a rank-at-most-one matrix."""
 
-    col: Matrix
-    row: Matrix
+    _fields = ("col", "row")
 
-    def __post_init__(self):
-        if self.col.ring != self.row.ring:
-            raise RingMismatch(f"{self.col.ring} vs {self.row.ring}")
-        if self.col.cols != 1 or self.row.rows != 1:
+    def __init__(self, col: Matrix, row: Matrix):
+        if col.ring != row.ring:
+            raise RingMismatch(f"{col.ring} vs {row.ring}")
+        if col.cols != 1 or row.rows != 1:
             raise ShapeMismatch("factors must be a column and a row")
+        super().__init__(col, row)
 
     def product(self) -> Matrix:
         return self.col @ self.row

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from minortrace import (
+    BlockSplit,
     IndexOutOfRange,
     OuterFactors,
     Ring,
@@ -324,19 +324,19 @@ ERROR_BRANCHES = [
     ("unit", lambda: matrix_unit(INT, 0, 0, 0), ShapeMismatch, "matrix dimensions must be at least 1x1"),
     (
         "join-rings",
-        lambda: block_join(dataclasses.replace(SPLIT3, pivot=RingElem(MOD4, 1))),
+        lambda: block_join(BlockSplit(SPLIT3.corner, SPLIT3.last_row, SPLIT3.last_col, RingElem(MOD4, 1))),
         RingMismatch,
         "block parts over different rings",
     ),
     (
         "join-row",
-        lambda: block_join(dataclasses.replace(SPLIT3, last_row=ROW3)),
+        lambda: block_join(BlockSplit(SPLIT3.corner, ROW3, SPLIT3.last_col, SPLIT3.pivot)),
         ShapeMismatch,
         "block parts do not conform",
     ),
     (
         "join-col",
-        lambda: block_join(dataclasses.replace(SPLIT3, last_col=mat([[1]]))),
+        lambda: block_join(BlockSplit(SPLIT3.corner, SPLIT3.last_row, mat([[1]]), SPLIT3.pivot)),
         ShapeMismatch,
         "block parts do not conform",
     ),

@@ -15,6 +15,7 @@ from minortrace import (
     is_prime,
     random_matrix,
 )
+from minortrace import rings
 from minortrace.rings import Ring
 from minortrace.structure import _scan_minors
 from support import (
@@ -68,6 +69,34 @@ def test_descriptor_validation():
     PolynomialRing(PolynomialRing(IntegerRing(), "x"), "y")  # depth 2 is fine
     with pytest.raises(ValueError):
         PolynomialRing(IntegerRing(), "2x")
+
+
+def test_prime_field_order_is_tested_once_per_p(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rings, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    rings._is_prime_once.cache_clear()
+    assert PrimeFieldRing(65537) == PrimeFieldRing(65537)
+    assert calls == [65537]
+
+
+PSI_13 = 3317044064679887385961981  # composite, and a strong probable prime to bases 2..41
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        (6, "prime field order must be prime, got 6"),
+        (True, "prime field order must be prime, got True"),
+        (1, "prime field order must be prime, got 1"),
+        ("7", "prime field order must be prime, got '7'"),
+        (PSI_13, f"primality is proven only below {PSI_13}, got {PSI_13}"),
+    ],
+)
+def test_prime_field_order_messages_hold_when_cached(p, message):
+    for _ in range(2):  # the second construction reads the cached primality
+        with pytest.raises(ValueError) as info:
+            PrimeFieldRing(p)
+        assert str(info.value) == message
 
 
 def test_is_prime_small():
