@@ -97,6 +97,11 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _nonzero_minor(idx) -> str:
+    """The note naming a nonzero minor, with its indices 1-based."""
+    return f"nonzero minor at rows ({idx.i + 1},{idx.j + 1}) cols ({idx.k + 1},{idx.l + 1})"
+
+
 def _read(path: str):
     """A matrix file's bytes, or stdin's text for "-"."""
     if path == "-":
@@ -156,13 +161,8 @@ def _load_deciding_head(path: str, square: bool) -> tuple[Matrix, StructureVerdi
 
 
 def _emit_precondition_witness(a: Matrix, witness: MinorWitness) -> int:
-    report = _witness_report(a, witness)
-    _emit(probe_report_to_obj(a.ring, report))
-    w = report.witness
-    _note(
-        "structure precondition failed: nonzero minor at rows "
-        f"({w.minor.i + 1},{w.minor.j + 1}) cols ({w.minor.k + 1},{w.minor.l + 1})"
-    )
+    _emit(probe_report_to_obj(a.ring, _witness_report(a, witness)))
+    _note("structure precondition failed: " + _nonzero_minor(witness.index))
     return 3
 
 
@@ -174,10 +174,7 @@ def _cmd_check(args) -> int:
     if verdict.structured:
         _note("structured: all 2x2 minors vanish")
         return 0
-    idx = verdict.witness.index
-    _note(
-        f"nonzero minor at rows ({idx.i + 1},{idx.j + 1}) cols ({idx.k + 1},{idx.l + 1})"
-    )
+    _note(_nonzero_minor(verdict.witness.index))
     return 1
 
 

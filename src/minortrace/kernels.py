@@ -125,11 +125,7 @@ class CorollaryResiduals(_Record):
     _fields = ("product_square", "trace_triple", "trace_square")
 
     def all_zero(self) -> bool:
-        return (
-            self.product_square.is_zero()
-            and self.trace_triple.is_zero()
-            and self.trace_square.is_zero()
-        )
+        return all(r.is_zero() for r in self._values)
 
 
 def check_corollaries(a: Matrix, b: Matrix) -> CorollaryResiduals:

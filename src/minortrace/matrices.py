@@ -45,18 +45,6 @@ class TooLargeToEnumerate(Exception):
     """The ring/order combination exceeds the enumeration budget of oracle."""
 
 
-def check_shape(rows) -> None:
-    """Raise ShapeMismatch unless rows is a nonempty sequence of nonempty rows of one width."""
-    if not rows:
-        raise ShapeMismatch("matrix needs at least one row")
-    width = len(rows[0])
-    for row in rows:
-        if not row:
-            raise ShapeMismatch("matrix needs at least one column")
-        if len(row) != width:
-            raise ShapeMismatch("ragged rows")
-
-
 def _square_pair(a: Matrix, b: Matrix) -> None:
     if a.ring != b.ring:
         raise RingMismatch(f"{a.ring} vs {b.ring}")
@@ -96,14 +84,22 @@ class Matrix:
         """Build a matrix, canonicalizing raw values and then checking shape.
 
         rows is an iterable of iterables, consumed one row at a time.
-        Entries are raw values or RingElems over ring.  Every row is
-        canonicalized before the shape is checked, so a bad entry anywhere
-        wins over a shape error.
+        Entries are raw values or RingElems over ring.  The shape needs at
+        least one row, no empty row and one width (ShapeMismatch).  Every
+        row is canonicalized before the shape is checked, so a bad entry
+        anywhere wins over a shape error.
         """
         canon_row = ring.canon_row
         # canon_row may read a row twice
         data = tuple(canon_row(r if isinstance(r, (list, tuple)) else tuple(r)) for r in rows)
-        check_shape(data)
+        if not data:
+            raise ShapeMismatch("matrix needs at least one row")
+        width = len(data[0])
+        for row in data:
+            if not row:
+                raise ShapeMismatch("matrix needs at least one column")
+            if len(row) != width:
+                raise ShapeMismatch("ragged rows")
         return cls(ring, data)
 
     @classmethod
@@ -161,25 +157,18 @@ class Matrix:
                 f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def __add__(self, other):
+    def _entrywise(self, op, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._conform(other)
-        add = self.ring.add
-        return Matrix(
-            self.ring,
-            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.data, other.data)),
-        )
+        rows = zip(self.data, other.data)
+        return Matrix(self.ring, tuple(tuple(map(op, ra, rb)) for ra, rb in rows))
+
+    def __add__(self, other):
+        return self._entrywise(self.ring.add, other)
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._conform(other)
-        sub = self.ring.sub
-        return Matrix(
-            self.ring,
-            tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.data, other.data)),
-        )
+        return self._entrywise(self.ring.sub, other)
 
     def __neg__(self):
         neg = self.ring.neg

@@ -86,12 +86,7 @@ class InductionResiduals(_Record):
     _fields = ("r1", "r2", "r3", "r4")
 
     def all_zero(self) -> bool:
-        return (
-            self.r1.is_zero()
-            and self.r2.is_zero()
-            and self.r3.is_zero()
-            and self.r4.is_zero()
-        )
+        return all(r.is_zero() for r in self._values)
 
 
 def _split_pair(a: Matrix, b: Matrix):

@@ -290,11 +290,6 @@ def _packed_layout(m, terms, a_values, b_values):
 _INT_ONLY = frozenset((int,))
 
 
-def all_ints(row) -> bool:
-    """Whether every value is exactly an int (a bool is not), in one C-level pass."""
-    return _INT_ONLY.issuperset(map(type, row))
-
-
 class Ring:
     """A commutative ring; methods operate on raw canonical element values.
 
@@ -386,11 +381,12 @@ class _ResidueRing(Ring, _Record):
 
     Values are reduced into [0, m) over Z/m and GF(p).  Z is the residue
     ring Z/0: with ``_m`` 0 every method skips its reduction, and the packed
-    product works with signed fields.  Each subclass is an immutable
-    record: IntegerRing sets ``_m = 0`` on the class, and ModularRing and
-    PrimeFieldRing validate their public field in ``__init__`` and store
-    it as ``_m``.  The families stay separate classes, none subclassing
-    another, because callers dispatch on them.
+    product works with signed fields.  ``zero`` and ``one`` are the class
+    constants 0 and 1.  Each subclass is an immutable record: IntegerRing
+    sets ``_m = 0`` on the class, and ModularRing and PrimeFieldRing
+    validate their public field in ``__init__`` and store it as ``_m``.  The
+    families stay separate classes, none subclassing another, because
+    callers dispatch on them.
     """
 
     _m: int
@@ -404,7 +400,8 @@ class _ResidueRing(Ring, _Record):
         return value % m if m else value
 
     def canon_row(self, row) -> tuple:
-        if not all_ints(row):
+        # every value exactly an int (a bool is not), in one C-level pass
+        if not _INT_ONLY.issuperset(map(type, row)):
             return super().canon_row(row)
         m = self._m
         # a row already reduced, as emitted rows are, keeps its ints: no
@@ -506,14 +503,6 @@ class PrimeFieldRing(_ResidueRing):
         return f"GF({self.p})"
 
 
-def _poly_depth(ring: Ring) -> int:
-    depth = 0
-    while isinstance(ring, PolynomialRing):
-        depth += 1
-        ring = ring.base
-    return depth
-
-
 def _strip(coeffs) -> tuple:
     """A coefficient list as a tuple, trailing zeros (0 or ()) dropped."""
     n = len(coeffs)
@@ -525,9 +514,10 @@ def _strip(coeffs) -> tuple:
 class PolynomialRing(Ring, _Record):
     """Univariate polynomials over a base ring, coefficients low degree first.
 
-    Over Z, Z/m and GF(p) (depth 1) the coefficients are plain ints, and
-    mul, add and matmul work on them directly with no call per coefficient;
-    a depth-2 ring goes through its base ring's methods.
+    ``zero`` is the class constant (), the zero polynomial.  Over Z, Z/m
+    and GF(p) (depth 1) the coefficients are plain ints, and mul, add and
+    matmul work on them directly with no call per coefficient; a depth-2
+    ring goes through its base ring's methods.
     """
 
     _fields = ("base", "var")
@@ -536,14 +526,14 @@ class PolynomialRing(Ring, _Record):
         if not isinstance(var, str) or not var.isidentifier():
             raise ValueError(f"variable must be an identifier, got {var!r}")
         super().__init__(base, var)
-        if _poly_depth(self) > 2:
+        depth = 1 + getattr(base, "_depth", 0)
+        if depth > 2:
             raise ValueError("polynomial nesting is capped at depth 2")
+        object.__setattr__(self, "_depth", depth)
         # the plain-int coefficient modulus (0 over Z), None over polynomials
         object.__setattr__(self, "_coeff_mod", getattr(base, "_m", None))
 
-    @property
-    def zero(self):
-        return ()
+    zero = ()
 
     @property
     def one(self):

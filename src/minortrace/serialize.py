@@ -47,7 +47,7 @@ from .rings import (
     PrimeFieldRing,
     Ring,
 )
-from .structure import MinorWitness, OuterFactors, StructureVerdict
+from .structure import OuterFactors, StructureVerdict
 
 
 class SerializeError(Exception):
@@ -198,10 +198,6 @@ def parse_ring_spec(spec: str) -> Ring:
     The spec is rewritten into the ring object it spells, and ring_from_obj
     decodes that, so a spec and its object give the same ring or error.
     """
-    return ring_from_obj(_ring_spec_obj(spec))
-
-
-def _ring_spec_obj(spec: str) -> dict:
     # "poly:" layers are peeled outermost first, so a spec nested past the
     # depth cap is refused before its core is read
     variables = []
@@ -221,7 +217,7 @@ def _ring_spec_obj(spec: str) -> dict:
         obj = {"kind": "int"}
     for var in reversed(variables):
         obj = {"kind": "poly", "base": obj, "var": var}
-    return obj
+    return ring_from_obj(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +243,15 @@ def elem_from_obj(ring: Ring, obj):
     return _parse_int(obj, "element")
 
 
-def _int_row_to_obj(ring: Ring, row) -> list:
-    try:
-        return [str(x) for x in row]  # measured faster than map(str, row)
-    except ValueError:  # past the digit cap; elem_to_obj gives the digit count
-        return [elem_to_obj(ring, x) for x in row]
-
-
 def matrix_to_obj(m: Matrix) -> dict:
     ring = m.ring
     if isinstance(ring, PolynomialRing):
         rows = [[elem_to_obj(ring, x) for x in row] for row in m.data]
     else:
-        rows = [_int_row_to_obj(ring, row) for row in m.data]
+        try:
+            rows = [[str(x) for x in row] for row in m.data]  # measured faster than map(str, row)
+        except ValueError:  # past the digit cap; elem_to_obj raises with the digit count
+            rows = [[elem_to_obj(ring, x) for x in row] for row in m.data]
     return {"ring": ring_to_obj(ring), "rows": rows}
 
 
@@ -346,19 +338,16 @@ def output_bits_over_limit(bits: int) -> SerializeError | None:
 # ---------------------------------------------------------------------------
 # Reports (indices go out 1-based, matching written conventions)
 
-def minor_witness_to_obj(ring: Ring, witness: MinorWitness) -> dict:
-    idx = witness.index
-    return {
-        "rows": [idx.i + 1, idx.j + 1],
-        "cols": [idx.k + 1, idx.l + 1],
-        "value": elem_to_obj(ring, witness.value.value),
-    }
-
-
 def verdict_to_obj(ring: Ring, verdict: StructureVerdict) -> dict:
     out: dict = {"structured": verdict.structured}
-    if verdict.witness is not None:
-        out["witness"] = minor_witness_to_obj(ring, verdict.witness)
+    w = verdict.witness
+    if w is not None:
+        idx = w.index
+        out["witness"] = {
+            "rows": [idx.i + 1, idx.j + 1],
+            "cols": [idx.k + 1, idx.l + 1],
+            "value": elem_to_obj(ring, w.value.value),
+        }
     return out
 
 

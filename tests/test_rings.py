@@ -64,9 +64,11 @@ def test_descriptor_validation():
     with pytest.raises(ValueError):
         PrimeFieldRing(6)
     PrimeFieldRing(2**61 - 1)  # a Mersenne prime; must pass the check
-    with pytest.raises(ValueError):
-        PolynomialRing(PolynomialRing(PolynomialRing(IntegerRing())))
-    PolynomialRing(PolynomialRing(IntegerRing(), "x"), "y")  # depth 2 is fine
+    # the depth comes from the base ring's, so the cap holds over every ground ring
+    for ground in (IntegerRing(), ModularRing(4), PrimeFieldRing(5)):
+        PolynomialRing(PolynomialRing(ground, "x"), "y")  # depth 2 is fine
+        with pytest.raises(ValueError, match="^polynomial nesting is capped at depth 2$"):
+            PolynomialRing(PolynomialRing(PolynomialRing(ground)))
     with pytest.raises(ValueError):
         PolynomialRing(IntegerRing(), "2x")
 

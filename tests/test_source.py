@@ -8,15 +8,21 @@ warning is easy to miss.
 
 Every module uses every name it imports, so an import left behind when the
 code that used it is deleted fails here instead of lingering unseen.
+
+Every module-level function and class is named somewhere besides its own
+definition, in the package, the tests, perfbench or the scripts, so a
+helper left behind when its caller inlines it fails here too.
 """
 
 import ast
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "minortrace"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "minortrace"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
@@ -40,3 +46,23 @@ def test_every_module_uses_what_it_imports(path):
     # the base of an attribute (json in json.loads) is itself an ast.Name
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_every_module_level_definition_is_named_elsewhere():
+    text = "\n".join(
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "perfbench", "scripts")
+        for path in (ROOT / folder).rglob("*.py")
+    )
+    unnamed = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            # the definition itself is one mention
+            if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2:
+                unnamed.append(f"{path.name}: {name}")
+    assert unnamed == []
