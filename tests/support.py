@@ -11,11 +11,15 @@ from hypothesis import strategies as st
 from minortrace import (
     IntegerRing,
     Matrix,
+    MinorIndex,
+    MinorWitness,
     ModularRing,
     NotSquare,
     PolynomialRing,
     PrimeFieldRing,
+    RingElem,
     ShapeMismatch,
+    StructureVerdict,
     find_nilpotent_scalar,
     gen_structured,
     verify_identity,
@@ -33,7 +37,7 @@ from minortrace.serialize import (
     ring_from_obj,
     verdict_to_obj,
 )
-from minortrace.structure import DEFAULT_ENTRY_BOUND, _scan_minors, check_vanishing_minors, random_elem
+from minortrace.structure import DEFAULT_ENTRY_BOUND, check_vanishing_minors, random_elem
 
 INT = IntegerRing()
 MOD4 = ModularRing(4)
@@ -101,6 +105,30 @@ def all_minors_naive(a: Matrix):
                     v = a.entry(i, k) * a.entry(j, l) - a.entry(i, l) * a.entry(j, k)
                     out.append(((i, j, k, l), v))
     return out
+
+
+def _scan_minors(a: Matrix) -> StructureVerdict:
+    """Scan all 2x2 minors in lexicographic order; O(n^4) on a yes answer.
+
+    The independent reference for check_vanishing_minors' verdict and
+    witness, and the minor side of the per-matrix exhaust.  It uses ring
+    arithmetic and the record classes only, never the certificate it checks.
+    """
+    ring = a.ring
+    zero = ring.zero
+    mul, sub = ring.mul, ring.sub
+    d = a.data
+    for i in range(a.rows - 1):
+        ri = d[i]
+        for j in range(i + 1, a.rows):
+            rj = d[j]
+            for k in range(a.cols - 1):
+                for l in range(k + 1, a.cols):
+                    v = sub(mul(ri[k], rj[l]), mul(ri[l], rj[k]))
+                    if v != zero:
+                        witness = MinorWitness(MinorIndex(i, j, k, l), RingElem(ring, v))
+                        return StructureVerdict(structured=False, witness=witness)
+    return StructureVerdict(structured=True, witness=None)
 
 
 def loads_per_number(text: str):

@@ -17,13 +17,13 @@ from minortrace import (
 )
 from minortrace import rings
 from minortrace.rings import Ring
-from minortrace.structure import _scan_minors
 from support import (
     GF5,
     INT,
     MOD4,
     POLY_INT,
     SCALAR_RINGS,
+    _scan_minors,
     poly_add_per_coeff,
     poly_mul_per_coeff,
     rand_structured,

@@ -12,6 +12,9 @@ code that used it is deleted fails here instead of lingering unseen.
 Every module-level function and class is named somewhere besides its own
 definition, in the package, the tests, perfbench or the scripts, so a
 helper left behind when its caller inlines it fails here too.
+
+The tests' reference minor scan never names the certificate or the
+function it is the reference for, so the two cannot agree by sharing code.
 """
 
 import ast
@@ -66,3 +69,15 @@ def test_every_module_level_definition_is_named_elsewhere():
             if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2:
                 unnamed.append(f"{path.name}: {name}")
     assert unnamed == []
+
+
+def test_the_reference_scan_names_none_of_the_code_it_checks():
+    tree = ast.parse((ROOT / "tests" / "support.py").read_text(encoding="utf-8"))
+    (scan,) = (node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_scan_minors")
+    named = set()
+    for node in ast.walk(scan):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert sorted(named & {"_certify", "_pivot_sweep", "check_vanishing_minors"}) == []

@@ -26,13 +26,14 @@ from minortrace import (
     outer,
     random_matrix,
 )
-from minortrace.structure import _certify, _scan_minors
+from minortrace.structure import _certify
 from support import (
     ALL_RINGS,
     GF5,
     INT,
     MOD4,
     RING_IDS,
+    _scan_minors,
     all_minors_naive,
     matrices,
     random_matrix_per_entry,
@@ -221,12 +222,35 @@ def test_decompose_round_trips_exactly_when_minors_vanish(ring, data):
 @pytest.mark.parametrize("ring", [INT, GF65537], ids=["int", "gf65537"])
 def test_decompose_refuses_a_late_minor_in_quadratic_time(ring):
     # zero but for a 2x2 identity in the bottom-right corner: the one nonzero
-    # minor is the last in scan order, about n^4 / 4 products away
+    # minor is the last in scan order, about n^4 / 4 minors away
     n = 64
     a = mat([[int(i == j >= n - 2) for j in range(n)] for i in range(n)], ring)
     with count_ops() as counts:
         assert decompose(a) is None
     assert counts.mul <= 2 * n * n + 10 * n
+    # the certificate of a, one of the pair (n - 2, n - 1), and a scan of
+    # that pair's minors; a scan of all minors makes about n^4 / 2 products
+    with count_ops() as counts:
+        verdict = check_vanishing_minors(a)
+    assert verdict.witness.index == MinorIndex(n - 2, n - 1, n - 2, n - 1)
+    assert counts.mul <= 3 * n * n + 10 * n
+
+
+def test_witness_over_zero_divisors_in_cubic_time():
+    # over Z/4: rows of 2s, then [1, ..., 1] and [1, ..., 1, 3]; every pair
+    # with a row of 2s has minors 2 * 2 - 2 * 2 or 2 * 3 - 2 * 1, both 0, so
+    # all C(n - 2, 2) + 2 (n - 2) of them are certified before the last pair
+    # holds the witness
+    n = 32
+    a = mat([[2] * n] * (n - 2) + [[1] * n, [1] * (n - 1) + [3]], MOD4)
+    with count_ops() as counts:
+        verdict = check_vanishing_minors(a)
+    assert verdict == _scan_minors(a)
+    assert verdict.witness.index == MinorIndex(n - 2, n - 1, 0, n - 1)
+    # 9918 products (10 n^2 - 10 n - 2): a sweep of 4 n for each pair with
+    # a row of 1s, none for a pair of 2s, which the certificate's gcd step
+    # settles in O(n) without one; a scan of all minors makes about 2 C(n, 2)^2
+    assert counts.mul <= 10 * n * n
 
 
 def test_outer_factors_validation():
@@ -373,10 +397,15 @@ def nilpotent_scalar(ring):
 
 @st.composite
 def certificate_cases(draw, ring):
-    """Random, outer, nilscalar, sparse and zero-leading-row matrices, any shape."""
+    """Random, outer, nilscalar, sparse, zero-leading-row and late-witness
+    matrices, any shape.  A late witness is an outer or nilscalar matrix
+    whose last row is redrawn, so every nonzero minor lies in a pair with
+    the last row and the row pairs before it are certified and skipped."""
     rows = draw(st.integers(1, 5))
     cols = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(["random", "outer", "nilscalar", "sparse", "zero-leading-row"]))
+    kind = draw(
+        st.sampled_from(["random", "outer", "nilscalar", "sparse", "zero-leading-row", "late-witness"])
+    )
     values = raw_values(ring)
     if kind == "sparse":
         values = st.one_of(st.just(ring.zero), st.just(ring.zero), values)
@@ -387,9 +416,11 @@ def certificate_cases(draw, ring):
     if kind == "random":
         return grid(rows, cols)
     a = outer(grid(rows, 1), grid(1, cols))
-    if kind == "nilscalar":
+    if kind == "nilscalar" or kind == "late-witness" and draw(st.booleans()):
         s = nilpotent_scalar(ring)
         a = grid(rows, cols).scale(s) if s is not None else a.scale(ring.elem(draw(values)))
+    if kind == "late-witness":
+        a = Matrix(ring, a.data[:-1] + grid(1, cols).data)
     elif kind == "zero-leading-row":
         if draw(st.booleans()):
             a = grid(rows, cols)
