@@ -137,17 +137,18 @@ def _full_read(data, parsed, head: tuple = ()) -> Matrix:
 def _load_deciding_head(path: str, square: bool) -> tuple[Matrix, StructureVerdict | None]:
     """The matrix in path, with its verdict when rows 1-2 already decide it.
 
-    On a text of 3 rows or more that matrix_rows_from_text takes (and that
-    is square, if square is set), rows 1-2 are converted and checked alone.
-    A nonzero minor there is the first witness of the whole matrix (see
-    check_vanishing_minors): that verdict comes back with the 2-row matrix.
-    Otherwise the full read converts the other rows and gives no verdict.
+    On a text of 3 rows or more that matrix_rows_from_text takes, square
+    too if square is set (the same re match checks that), rows 1-2 are
+    converted and checked alone.  A nonzero minor there is the first
+    witness of the whole matrix (see check_vanishing_minors): that verdict
+    comes back with the 2-row matrix.  Otherwise the full read converts the
+    other rows and gives no verdict; a text that is not square when square
+    is set is decoded whole, and the caller's NotSquare names its shape.
     """
     data = _read(path)
-    parsed = matrix_rows_from_text(data)
+    parsed = matrix_rows_from_text(data, square)
     head = ()
-    # r rows are r + 1 "[" in the text, and parsed[1] is the width
-    if parsed and not (square and parsed[2].count(b"[") - 1 != parsed[1]):
+    if parsed:
         text = parsed[2]
         cut = text.find(b'"],["', text.find(b'"],["') + 1)  # after row 2, if a row follows
         rows = cut > 0 and decode_rows(text[: cut + 2] + b"]")

@@ -21,8 +21,21 @@ one n x n integer matrix, and a single residual over Z holds all of their
 residuals, with fields in [-n^2 (m-1)^3, n^2 (m-1)^3].  Either way, adding
 the least multiple of m at or above the bound lifts every field above zero
 without changing it mod m, and fields that hold twice that offset never
-carry into each other.  The field width, the repunit and the decode of a
-packed integer into its fields come from the packed-field codec in rings.
+carry into each other.  Every repunit, and the sweep's field width and
+decode of a packed integer into its fields, come from the packed-field
+codec in rings.
+
+The sweep decodes its fields; a spot check decodes none, by this
+carry-free rule, which sets its own field width.  Let X hold fields f_t
+in [0, 2 offset] (offset a multiple of m) of w bytes each, let
+b = (2 offset // m).bit_length(), and
+let m 2^b <= 2^(8w).  Then every f_t is 0 mod m exactly when m divides X
+and every field of q = X // m is below 2^b, that is, q & high == 0 for
+high the bits b..8w-1 of every field.  If every f_t = m g_t, then
+g_t <= 2 offset / m < 2^b and q = sum g_t 2^(8wt).  Conversely, if X = m q
+and every field q_t of q is below 2^b, then m q_t < 2^(8w), so
+sum (m q_t) 2^(8wt) is X written in base 2^(8w), and by the uniqueness of
+those digits f_t = m q_t.  No carry can occur either way.
 """
 
 from __future__ import annotations
@@ -77,6 +90,34 @@ def _packing(bound: int, m: int):
     return (offset, *_field_format(((2 * offset).bit_length() + 7) // 8))
 
 
+def _mask_packing(bound: int, m: int, count: int) -> tuple[int, int, int, int]:
+    """(width, repunit, lift, high) for count packed values in [-bound, bound], decided mod m unpacked.
+
+    width is the fewest bytes w with m 2^b <= 2^(8w), b and the offset as
+    the module docstring's carry-free rule has them; lift is the offset in
+    every field and high the bits b..8w-1 of every field.
+    """
+    offset = -(-bound // m) * m
+    bits = (2 * offset // m).bit_length()
+    width = -(-((m << bits) - 1).bit_length() // 8)
+    repunit = _repunit(width, count)
+    return width, repunit, offset * repunit, ((1 << 8 * width) - (1 << bits)) * repunit
+
+
+def _residual_vanishes(rows, m: int, lift: int, high: int) -> bool:
+    """Whether every field of every packed entry in rows is 0 mod m, lifted by lift.
+
+    The carry-free rule of the module docstring: one division and one mask
+    per entry, with no field decoded.
+    """
+    for row in rows:
+        for x in row:
+            q, r = divmod(x + lift, m)
+            if r or q & high:
+                return False
+    return True
+
+
 def _packed_digits(m: int, k: int, width: int) -> list[int]:
     """k integers, one width-byte field per tuple of product(range(m), repeat=k).
 
@@ -94,6 +135,36 @@ def _packed_digits(m: int, k: int, width: int) -> list[int]:
     return digits
 
 
+def _spot_check_packing(m: int, n: int) -> tuple:
+    """What every spot check at order n over Z/m shares: (repunit, rest, lift, high).
+
+    The m^(n^2-1) B that share a first entry take one field each, in
+    enumeration order: rest holds the packed entries of B but (0, 0), and
+    the first entry b is b times the repunit.  lift and high decide the
+    residual fields, in [-n^2 (m-1)^3, n^2 (m-1)^3], by the carry-free rule.
+    """
+    width, repunit, lift, high = _mask_packing(n * n * (m - 1) ** 3, m, m ** (n * n - 1))
+    return repunit, _packed_digits(m, n * n - 1, width), lift, high
+
+
+def _every_b_holds(rows: tuple, m: int, packing: tuple) -> bool:
+    """Whether A B A = Tr(AB) A over Z/m for every B, A's rows given as ints in [0, m).
+
+    packing is _spot_check_packing(m, n).  One verify_identity per first
+    entry of B, in order, so the first failing first entry exits.
+    """
+    repunit, rest, lift, high = packing
+    n = len(rows)
+    integers = IntegerRing()
+    a_z = Matrix(integers, rows)
+    for first in range(m):
+        entries = [first * repunit, *rest]
+        p = Matrix(integers, tuple(tuple(entries[k * n : (k + 1) * n]) for k in range(n)))
+        if not _residual_vanishes(verify_identity(a_z, p).data, m, lift, high):
+            return False
+    return True
+
+
 def universal_identity_by_enumeration(a: Matrix) -> bool:
     """Decide the for-every-B question by trying literally every B.
 
@@ -104,31 +175,18 @@ def universal_identity_by_enumeration(a: Matrix) -> bool:
     B in its own field, and entry (0, 0) is b times the repunit.  The
     residual A P A - Tr(AP) A is linear in P, so its field t is B_t's
     residual over Z, which reduces mod m to the residual over Z/m.  Every
-    residual entry lies in [-n^2 (m-1)^3, n^2 (m-1)^3]; lifted as _packing
-    describes, the fields decode one by one, and B_t satisfies the identity
-    iff each of its fields is 0 mod m.  One verify_identity per first entry
-    keeps an early exit.
+    residual entry lies in [-n^2 (m-1)^3, n^2 (m-1)^3].  Lifted by an
+    offset that is a multiple of m, B_t satisfies the identity iff each of
+    its fields is 0 mod m, and the carry-free rule of the module docstring
+    decides that for all fields of an entry at once: with q, r =
+    divmod(x + lift, m), they all are exactly when r and q & high are 0.
+    One verify_identity per first entry keeps an early exit.
     """
     if not a.is_square:
         raise NotSquare(f"square matrix required, got {a.rows}x{a.cols}")
     n = a.rows
-    values = _enumerable_values(a.ring, n)
-    m = len(values)
-    count = m ** (n * n - 1)  # B per first entry
-    offset, width, code = _packing(n * n * (m - 1) ** 3, m)
-    repunit = _repunit(width, count)
-    lift = offset * repunit
-    rest = _packed_digits(m, n * n - 1, width)
-    integers = IntegerRing()
-    a_z = Matrix(integers, a.data)
-    for first in values:
-        entries = [first * repunit, *rest]
-        p = Matrix(integers, tuple(tuple(entries[k * n : (k + 1) * n]) for k in range(n)))
-        for row in verify_identity(a_z, p).data:
-            for x in row:
-                if any(map(m.__rmod__, _unpack(x + lift, width, code, count))):
-                    return False
-    return True
+    m = len(_enumerable_values(a.ring, n))
+    return _every_b_holds(a.data, m, _spot_check_packing(m, n))
 
 
 class EquivalenceReport(_Record):
@@ -194,7 +252,8 @@ def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
     on the last row is linear in it, and with that row packed, one field per
     matrix, holds each matrix's value in [-(m-1)^2, (m-1)^2] in its own
     field.  Every SPOT_CHECK_EVERY-th matrix (the first included) also runs
-    the full-B enumeration, which must agree with its probe decision.
+    the full-B enumeration, which must agree with its probe decision; the
+    packing of those spot checks is built once per call.
     """
     if n < 2:
         raise TooSmall("exhaustive characterization needs n >= 2")
@@ -231,6 +290,7 @@ def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
     table = _form_table(n)  # two multiplications and a subtraction per form value
     form_values = sum(len(const) + len(packed) * block for const, packed in table)
     last = tuple(_packed_digits(m, n, width))
+    spot = _spot_check_packing(m, n)
     all_rows = list(itertools.product(values, repeat=n))
     ident_count = minors_count = 0
     mismatches: list[Matrix] = []
@@ -238,8 +298,9 @@ def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
         _bump(2 * form_values, form_values)
         fails, unstructured = _block_fails(prefix + (last,), table, decide)
         for t in range(-index * block % SPOT_CHECK_EVERY, block, SPOT_CHECK_EVERY):
-            a = Matrix(ring, prefix + (all_rows[t],))
-            if (not fails[t]) != universal_identity_by_enumeration(a):
+            rows = prefix + (all_rows[t],)
+            if (not fails[t]) != _every_b_holds(rows, m, spot):
+                a = Matrix(ring, rows)
                 raise RuntimeError(f"probe decision disagrees with full enumeration at {a!r}")
         ident_count += fails.count(0)
         minors_count += unstructured.count(0)

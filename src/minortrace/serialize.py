@@ -255,7 +255,7 @@ def matrix_to_obj(m: Matrix) -> dict:
     return {"ring": ring_to_obj(ring), "rows": rows}
 
 
-def matrix_rows_from_text(data) -> tuple[Ring, int, bytes] | None:
+def matrix_rows_from_text(data, square: bool = False) -> tuple[Ring, int, bytes] | None:
     """The ring, the row width c and the bytes of a text in the layout dumps writes, or None.
 
     data is a file's bytes or stdin's text, in the layout
@@ -263,8 +263,8 @@ def matrix_rows_from_text(data) -> tuple[Ring, int, bytes] | None:
     _rows_text): R a Z, Z/m or GF(p) ring as dumps writes it, and the rows
     an r x c matrix, r, c >= 1, whose entries _parse_int takes (ASCII
     digits after an optional minus, at most the int/str digit limit of
-    them), checked in one re match with c read off row 1.  Any other text
-    gives None.
+    them), checked in one re match with c read off row 1.  With square
+    set, the same match also requires r = c.  Any other text gives None.
     """
     if type(data) is str and data.isascii():  # stdin's text
         data = data.encode()
@@ -276,10 +276,12 @@ def matrix_rows_from_text(data) -> tuple[Ring, int, bytes] | None:
     width = data.count(b",", key + 10, data.find(b"]", key)) + 1
     limit = sys.get_int_max_str_digits()
     entry = rb'"-?+[0-9]' + (b"{1,%d}+" % limit if limit else b"++") + b'"'
-    # possessive (a failed match retries nothing) but for the fixed count,
-    # which matched faster plain
+    # possessive (a failed match retries nothing) but for the fixed count of
+    # entries, which matched faster plain; the fixed count of rows must stay
+    # possessive, or the match keeps a backtrack frame per row
     row = rb"\[" + entry + rb"(?:," + entry + rb"){%d}\]" % (width - 1)
-    rows = rb',"rows":\[' + row + rb"(?:," + row + rb")*+\]\}[ \t\n\r]*+"
+    more = b"{%d}+" % (width - 1) if square else b"*+"
+    rows = rb',"rows":\[' + row + rb"(?:," + row + rb")" + more + rb"\]\}[ \t\n\r]*+"
     if not re.compile(rows).fullmatch(data, key):
         return None
     # the ring last: a text whose rows are not canonical is not decoded twice

@@ -205,6 +205,7 @@ CANONICAL_LOOKING = [
     ("1x1", _text('[["5"]]'), True),
     ("1xn", _text('[["1","-2","3"]]'), True),
     ("nx1", _text('[["1"],["-2"],["3"]]'), True),
+    ("2x3", _text('[["1","2","3"],["4","5","6"]]'), True),
     ("poly", _text('[[["1"],["2"]],[["2"],["4"]]]', '{"base":{"kind":"int"},"kind":"poly","var":"x"}'), False),
 ]
 
@@ -233,7 +234,7 @@ def test_canonical_looking_texts_answer_as_the_full_decode(tmp_path, monkeypatch
         ["decompose", str(path)],
     ]
     got = [run_main(argv) for argv in runs]
-    monkeypatch.setattr(cli, "matrix_rows_from_text", lambda text: None)
+    monkeypatch.setattr(cli, "matrix_rows_from_text", lambda text, square=False: None)
     assert got == [run_main(argv) for argv in runs]
     try:
         read = path.read_text(encoding="utf-8")
@@ -262,25 +263,51 @@ def test_a_canonical_file_is_never_decoded_whole(tmp_path, monkeypatch, command,
         assert want[0] == (1 if make == "random" else 0)
 
 
+@pytest.mark.parametrize(
+    "rows, shape",
+    [
+        ('[["1","2","3"],["4","5","6"]]', "2x3"),
+        ('[["1","2"],["3","4"],["5","6"]]', "3x2"),
+        ('[["1","2","3"],["4","5","6"],["7","8","9"],["1","1","1"]]', "4x3"),
+        ('[["1","2","3","4"],["5","6","7","8"],["9","1","2","3"]]', "3x4"),
+    ],
+)
+def test_probe_refuses_a_canonical_text_that_is_not_square(tmp_path, converted, rows, shape):
+    """Rows 1-2 hold a nonzero minor, but probe takes square matrices only:
+    the square check is part of the one re match, so the text is decoded
+    whole, each row converted once, and probe exits 2 naming its shape."""
+    text = _text(rows, '{"kind":"mod","modulus":"7"}')
+    assert matrix_rows_from_text(text) and not matrix_rows_from_text(text, square=True)
+    path = tmp_path / "a.json"
+    path.write_text(text)
+    assert run_main(["probe", str(path)]) == (2, "", f"error: square matrix required, got {shape}\n")
+    assert converted == [tuple(map(int, row)) for row in json.loads(rows)]
+    assert run_main(["check", str(path)])[0] == 1
+
+
 def _refuse(text):
     raise AssertionError("the whole document was decoded")
 
 
 @pytest.mark.parametrize("make", ["random", "structured"])
 def test_loading_holds_no_whole_file_str(tmp_path, make):
-    """Both loaders read the 256x256 Z/(2^61-1) file as bytes: beside the
-    matrix they return, their peak holds the file's bytes and at most one
-    pass's buffer (the de-quoted rows the decode reads), never also a str
-    of the whole file.  Measured: about 1.9 times the file for a read that
-    converts every row and 1.0 for rows 1-2, where reading text (a str of
-    the file, its bytes again for the check, its rows as strs) took 2.0
-    and 3.0."""
+    """Both loaders, the deciding one with and without the square check,
+    read the 256x256 Z/(2^61-1) file as bytes: beside the matrix they
+    return, their peak holds the file's bytes and at most one pass's buffer
+    (the de-quoted rows the decode reads), never also a str of the whole
+    file, nor a match stack that grows with the rows.  Measured: about 1.9
+    times the file for a read that converts every row and 1.0 for rows 1-2,
+    where reading text (a str of the file, its bytes again for the check,
+    its rows as strs) took 2.0 and 3.0, and a square check whose repeat of
+    the rows is not possessive took 4.0 for rows 1-2."""
     ring = HEAD_RINGS[0]
     a = random_matrix(random.Random(5), ring, 256, 256) if make == "random" else gen_structured(5, ring, 256)
     path = tmp_path / "a.json"
     path.write_text(dumps(matrix_to_obj(a)))
     size = path.stat().st_size
-    for load in (cli._load_matrix, lambda p: cli._load_deciding_head(p, False)[0]):
+    loaders = [cli._load_matrix] + [lambda p, square=square: cli._load_deciding_head(p, square)[0]
+                                    for square in (False, True)]
+    for load in loaders:
         gc.collect()
         tracemalloc.start()
         try:

@@ -1,8 +1,10 @@
 import ast
 import inspect
+import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -85,33 +87,73 @@ def test_probe_decision_equals_full_enumeration_exhaustively():
             assert universal_identity_by_enumeration(a) == want
 
 
-@pytest.mark.parametrize("ring", [ModularRing(6), PrimeFieldRing(5)], ids=str)
+def test_the_mask_decides_every_field_without_unpacking():
+    # every pair of lifted fields in [0, 2 offset]: the division and the mask
+    # take the pair exactly when both fields are 0 mod m.  At bounds 102 mod
+    # 3 and 125 mod 5 the fields fit one byte but m 2^b does not: with one
+    # byte, fields 2 and 4 mod 3 make 3 * (86 + 1 * 256), and both quotient
+    # fields pass the mask
+    for m, bound in [(m, m) for m in range(2, 13)] + [(3, 102), (5, 125)]:
+        width, _, lift, high = oracle._mask_packing(bound, m, 2)
+        offset = -(-bound // m) * m
+        for f0, f1 in itertools.product(range(2 * offset + 1), repeat=2):
+            x = f0 + (f1 << 8 * width) - lift
+            assert oracle._residual_vanishes([[x]], m, lift, high) == (f0 % m == f1 % m == 0)
+
+
+def test_the_mask_refuses_a_multiple_of_m_whose_fields_are_not():
+    # m = 3 and one-byte fields 1 and 2: 1 + 2 * 256 = 513 = 3 * 171, since
+    # 256 = 1 mod 3, yet neither field is 0 mod 3; the quotient's field 171
+    # is past 2^b = 4, the bound of a quotient field when all fields are
+    width, _, lift, high = oracle._mask_packing(1, 3, 2)
+    assert width == 1 and 513 % 3 == 0
+    assert not oracle._residual_vanishes([[513 - lift]], 3, lift, high)
+    assert oracle._residual_vanishes([[3 + 6 * 256 - lift, 6 * 256 - lift]], 3, lift, high)
+
+
+@pytest.mark.parametrize(
+    "ring", [ModularRing(5), ModularRing(6), PrimeFieldRing(5), ModularRing(16), ModularRing(31)], ids=str
+)
 def test_packed_full_b_check_equals_per_b_on_a_sample(ring):
+    # past Z/6 one call per B takes seconds per matrix (31^4 B at Z/31), so
+    # the unit probes, which equal it on every A of the exhaustive test
+    # above, stand in for it
+    m = len(oracle._enumerable_values(ring, 2))
+    reference = universal_identity_per_b if m <= 6 else universal_identity_via_probes
     rng = random.Random(61)
-    sample = [rand_structured(rng, ring, 2) for _ in range(12)]
-    sample += [random_matrix(rng, ring, 2, 2) for _ in range(12)]
-    sample += [Matrix.zero(ring, 2, 2), Matrix.identity(ring, 2)]
-    if ring == ModularRing(6):
-        # det -12: minors vanish mod 6 but not over Z; 3 times the all-ones matrix
-        sample += [mat([[2, 3], [4, 0]], ring), mat([[3, 3], [3, 3]], ring)]
+    size = 4 if m == 31 else 12
+    sample = [rand_structured(rng, ring, 2) for _ in range(size)]
+    sample += [random_matrix(rng, ring, 2, 2) for _ in range(size)]
+    sample += [Matrix.zero(ring, 2, 2), Matrix.identity(ring, 2), mat([[m - 1] * 2] * 2, ring)]
+    # the determinant is a nonzero multiple of m: minors vanish mod m but not over Z
+    sample += {
+        6: [mat([[2, 3], [4, 0]], ring), mat([[3, 3], [3, 3]], ring)],
+        16: [mat([[2, 8], [4, 0]], ring), mat([[8, 8], [8, 8]], ring)],
+        31: [mat([[30, 29], [28, 25]], ring)],
+    }.get(m, [])
     for a in sample:
-        assert universal_identity_by_enumeration(a) == universal_identity_per_b(a)
+        assert universal_identity_by_enumeration(a) == reference(a)
 
 
-def test_packed_full_b_check_at_the_widest_fields(monkeypatch):
+def test_packed_full_b_check_at_the_widest_fields():
     # Z/31 at n = 2 is the largest modulus the budget enumerates, so its
-    # residual fields, up to 4 * 30^3 in size, need the widest packing: 4
-    # bytes with word codes, 3 unrounded bytes cut from the bytes without
+    # residual fields, up to 4 * 30^3 in size, need the widest packing: 3
+    # bytes, as 31 * 2^13 <= 2^24; no field is unpacked, so no word code
+    # enters.  Its peak holds the B of one first entry, 31^3 fields, in at
+    # most 3 MiB (measured 1.9-2.2 MB), not the 31^4 B of all of them
     ring = ModularRing(31)
-    for word_codes in (True, False):
-        with monkeypatch.context() as patch:
-            if not word_codes:
-                patch.setattr(rings, "_WORD_CODES", {})
-            assert universal_identity_by_enumeration(mat([[30, 30], [30, 30]], ring))
-            # det = 30 * 25 - 29 * 28 = -62: structured mod 31, not over Z
-            assert universal_identity_by_enumeration(mat([[30, 29], [28, 25]], ring))
-            assert not universal_identity_by_enumeration(mat([[30, 30], [30, 29]], ring))
-            assert not universal_identity_by_enumeration(mat([[1, 0], [0, 30]], ring))
+    assert oracle._mask_packing(4 * 30**3, 31, 31**3)[0] == 3
+    tracemalloc.start()
+    try:
+        assert universal_identity_by_enumeration(mat([[30, 30], [30, 30]], ring))
+        # det = 30 * 25 - 29 * 28 = -62: structured mod 31, not over Z
+        assert universal_identity_by_enumeration(mat([[30, 29], [28, 25]], ring))
+        assert not universal_identity_by_enumeration(mat([[30, 30], [30, 29]], ring))
+        assert not universal_identity_by_enumeration(mat([[1, 0], [0, 30]], ring))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_packed_full_b_check_multiplication_count():
@@ -191,7 +233,7 @@ def test_sweep_counts_two_multiplications_and_a_subtraction_per_form_value(monke
     # only the zero matrix, the first, is spot-checked, by a stand-in that
     # counts nothing
     monkeypatch.setattr(oracle, "SPOT_CHECK_EVERY", 10**9)
-    monkeypatch.setattr(oracle, "universal_identity_by_enumeration", lambda a: a.is_zero())
+    monkeypatch.setattr(oracle, "_every_b_holds", lambda rows, m, packing: not any(map(any, rows)))
     for m, n in ((3, 3), (4, 2)):
         # forms per block, counted by hand: minors (i, j, k, l) and probe
         # residual entries (l, j, x, c), x != j; one value per block for a

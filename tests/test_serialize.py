@@ -488,7 +488,8 @@ def edited_matrix_texts(draw, around):
 def test_the_text_check_takes_exactly_the_canonical_texts(limit):
     """matrix_rows_from_text takes a text, as a file's bytes or as stdin's
     str, exactly when the plain reference _canonical calls it canonical,
-    and then gives the width of its rows."""
+    and then gives the width of its rows; with square set, exactly when
+    also its row count equals that width, and then gives the same."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
@@ -497,11 +498,16 @@ def test_the_text_check_takes_exactly_the_canonical_texts(limit):
         @settings(max_examples=300, deadline=None)
         def check(text):
             want = _canonical(text)
+            rows = json.loads(text)["rows"] if want else None
             for form in (text, text.decode("latin-1")):
                 taken = matrix_rows_from_text(form)
                 assert (taken is not None) == want
+                square = matrix_rows_from_text(form, square=True)
+                assert (square is not None) == (want and len(rows) == len(rows[0]))
                 if taken:
-                    assert taken[1] == len(json.loads(text)["rows"][0])
+                    assert taken[1] == len(rows[0])
+                if square:
+                    assert square == taken
 
         check()
     finally:
