@@ -15,9 +15,15 @@ one pair to the next, so a drift of the host falls on both sides.
 
 It then prints, for every end-to-end metric of BENCHMARK.json, each
 pair's two values, the two medians and their relative gap, the parent's
-interquartile range, and in how many pairs the change is better.  A run
-that is not correct or that failed a request is reported, and the script
-exits 1.
+interquartile range, in how many pairs the change is better, and a
+verdict against the metric's bound, a fraction of the parent's median:
+- worse beyond its bound: the change's median is worse than the parent's
+  by more than that amount;
+- unresolved: the parent's IQR exceeds that amount, and not every run of
+  the change beats every run of the parent;
+- within its bound: otherwise.
+A metric worse beyond its bound, and a run that is not correct or that
+failed a request, are reported, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ SIDES = ("parent", "change")
 
 
 def end_to_end_metrics() -> list:
-    """The end-to-end metrics of BENCHMARK.json, each a dict with name, unit and better."""
+    """The end-to-end metrics of BENCHMARK.json, each a dict with name, unit, better and bound."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         return json.load(fh)["end_to_end"]
 
@@ -60,23 +66,24 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(pairs: list, metrics: list) -> tuple[list, bool]:
-    """The report lines for pairs of (parent, change) result lines, and whether every run was clean.
+    """The report lines for pairs of (parent, change) result lines, and whether the change passes.
 
     A result line is what perfbench/run.py prints last: correct, attempted,
     failed and metrics, each metric a dict with value and unit.  The
     change is better in a pair when its value is strictly better in the
-    metric's direction.
+    metric's direction.  It passes when every run was clean and no metric
+    is worse beyond its bound.
     """
     lines = []
-    clean = True
+    ok = True
     for i, pair in enumerate(pairs, 1):
         for side, result in zip(SIDES, pair):
             if not result["correct"] or result["failed"]:
-                clean = False
+                ok = False
                 lines.append(f"pair {i} {side}: correct {result['correct']}, "
                              f"{result['failed']} of {result['attempted']} requests failed")
     for metric in metrics:
-        name, higher = metric["name"], metric["better"] == "higher"
+        name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
         values = [[pair[k]["metrics"][name]["value"] for pair in pairs] for k in range(2)]
         parent, change = values
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
@@ -85,13 +92,24 @@ def summarize(pairs: list, metrics: list) -> tuple[list, bool]:
         q1, q3 = 0, 0
         if len(parent) > 1:
             q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        allowed = bound * mid[0]
+        worse_by = (mid[0] - mid[1]) if higher else (mid[1] - mid[0])
+        all_better = min(change) > max(parent) if higher else max(change) < min(parent)
+        if worse_by > allowed:
+            ok = False
+            verdict = "worse beyond its bound"
+        elif q3 - q1 > allowed and not all_better:
+            verdict = "unresolved"
+        else:
+            verdict = "within its bound"
         lines.append(f"{name} [{metric['unit']}, {metric['better']} is better]")
         for side, v in zip(SIDES, values):
             lines.append(f"  {side:<7} " + " ".join(f"{x:.6g}" for x in v))
         lines.append(f"  median  parent {mid[0]:.6g}, change {mid[1]:.6g} ({gap:+.1%}); "
                      f"parent IQR {q3 - q1:.3g}")
         lines.append(f"  change better in {wins} of {len(pairs)} pairs")
-    return lines, clean
+        lines.append(f"  {verdict} ({bound:.0%} of the parent's median is {allowed:.3g})")
+    return lines, ok
 
 
 def main(argv=None) -> int:
@@ -118,11 +136,11 @@ def main(argv=None) -> int:
                 tput = got[side]["metrics"]["throughput_rps"]["value"]
                 print(f"pair {i + 1} {side}: throughput_rps {tput:.6g}", file=sys.stderr, flush=True)
             pairs.append((got["parent"], got["change"]))
-    lines, clean = summarize(pairs, end_to_end_metrics())
+    lines, ok = summarize(pairs, end_to_end_metrics())
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs, "
           f"parent {args.parent}")
     print("\n".join(lines))
-    return 0 if clean else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -9,33 +9,36 @@ provably equivalent to the full quantifier: the probe with its unit at
 every minor vanishes and the identity follows for arbitrary B.  Periodic
 full-B spot checks keep that shortcut honest.
 
-The sweep and its spot checks run bit-parallel over Z: many matrices are
-packed into one integer, one fixed-width field per matrix, and a form
-linear in the packed entries holds each matrix's value in its own field.
-The sweep fixes A's first n-1 rows and packs its last row, one field per
-value of that row: no 2x2 minor a_ik a_jl - a_il a_jk and no unit-probe
-residual entry a_xl a_jc - a_jl a_xc (x != j) uses the last row twice, so
-each is linear in it, with fields in [-(m-1)^2, (m-1)^2].  A spot check
-tries every B: the m^(n^2-1) matrices B that share a first entry go into
-one n x n integer matrix, and a single residual over Z holds all of their
-residuals, with fields in [-n^2 (m-1)^3, n^2 (m-1)^3].  Either way, adding
-the least multiple of m at or above the bound lifts every field above zero
-without changing it mod m, and fields that hold twice that offset never
-carry into each other.  Every repunit, and the sweep's field width and
-decode of a packed integer into its fields, come from the packed-field
-codec in rings.
+The sweep fixes A's first n-1 rows and decides the m^n matrices that
+share them, one per value of the last row, together.  No 2x2 minor
+a_ik a_jl - a_il a_jk and no unit-probe residual entry a_xl a_jc - a_jl a_xc
+(x != j) uses the last row twice, so a form that uses it is u v - u2 v2,
+with u and u2 on the first rows, fixed for the block, and v and v2 entries
+s and s2 of the last row.  A residue table, built once per call, holds for
+every residue u and column s an integer residues[u][s] whose byte t is u
+times entry s of matrix t's last row, mod m; one byte holds any residue,
+as the budget keeps m below 32.  The form is 0 mod m on matrix t exactly
+when byte t of residues[u][s] ^ residues[u2][s2] is 0: no field is lifted
+or decoded.
 
-The sweep decodes its fields; a spot check decodes none, by this
-carry-free rule, which sets its own field width.  Let X hold fields f_t
-in [0, 2 offset] (offset a multiple of m) of w bytes each, let
-b = (2 offset // m).bit_length(), and
-let m 2^b <= 2^(8w).  Then every f_t is 0 mod m exactly when m divides X
-and every field of q = X // m is below 2^b, that is, q & high == 0 for
-high the bits b..8w-1 of every field.  If every f_t = m g_t, then
-g_t <= 2 offset / m < 2^b and q = sum g_t 2^(8wt).  Conversely, if X = m q
-and every field q_t of q is below 2^b, then m q_t < 2^(8w), so
-sum (m q_t) 2^(8wt) is X written in base 2^(8w), and by the uniqueness of
-those digits f_t = m q_t.  No carry can occur either way.
+A spot check tries every B bit-parallel over Z: the m^(n^2-1) matrices B
+that share a first entry go into one n x n integer matrix, one
+fixed-width field per B, with the repunit of the packed-field codec in
+rings, and a single residual over Z, linear in the packed entries, holds
+each B's residual in its own field, in [-n^2 (m-1)^3, n^2 (m-1)^3].
+Adding the least multiple of m at or above that bound lifts every field
+above zero without changing it mod m, and fields that hold twice that
+offset never carry into each other.  No field is decoded either, by a
+carry-free rule that sets its own field width.  Let X hold fields f_t in
+[0, 2 offset] (offset a multiple of m) of w bytes each, let
+b = (2 offset // m).bit_length(), and let m 2^b <= 2^(8w).  Then every
+f_t is 0 mod m exactly when m divides X and every field of q = X // m is
+below 2^b, that is, q & high == 0 for high the bits b..8w-1 of every
+field.  If every f_t = m g_t, then g_t <= 2 offset / m < 2^b and
+q = sum g_t 2^(8wt).  Conversely, if X = m q and every field q_t of q is
+below 2^b, then m q_t < 2^(8w), so sum (m q_t) 2^(8wt) is X written in
+base 2^(8w), and by the uniqueness of those digits f_t = m q_t.  No carry
+can occur either way.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import itertools
 
 from .matrices import Matrix, NotSquare, TooLargeToEnumerate, TooSmall, _square_pair
 from .rings import IntegerRing, ModularRing, PrimeFieldRing, Ring
-from .rings import _Record, _bump, _field_format, _repunit, _unpack
+from .rings import _Record, _bump, _repunit
 
 
 ENUMERATION_BUDGET = 10**6  # max matrices per exhaustive sweep
@@ -79,17 +82,6 @@ def _enumerable_values(ring: Ring, n: int) -> range:
     return range(m)
 
 
-def _packing(bound: int, m: int):
-    """(offset, width, typecode) for packed values in [-bound, bound], decided mod m.
-
-    offset is the least multiple of m at or above bound, and the fields hold
-    2 offset, so a value plus offset is nonnegative, fits its field, and is
-    0 mod m exactly when the value is.
-    """
-    offset = -(-bound // m) * m
-    return (offset, *_field_format(((2 * offset).bit_length() + 7) // 8))
-
-
 def _mask_packing(bound: int, m: int, count: int) -> tuple[int, int, int, int]:
     """(width, repunit, lift, high) for count packed values in [-bound, bound], decided mod m unpacked.
 
@@ -118,21 +110,18 @@ def _residual_vanishes(rows, m: int, lift: int, high: int) -> bool:
     return True
 
 
-def _packed_digits(m: int, k: int, width: int) -> list[int]:
-    """k integers, one width-byte field per tuple of product(range(m), repeat=k).
+def _packed_digits(values: range | list[int], k: int, width: int) -> list[int]:
+    """k integers, one width-byte field per tuple of product(range(m), repeat=k), m = len(values).
 
-    Field t of integer e holds entry e of the t-th tuple in that order, the
-    order itertools.product gives: entry e runs through 0..m-1 in runs of
-    m^(k-1-e) fields.
+    Field t of integer e holds values[v], for v entry e of the t-th tuple
+    in the order itertools.product gives: entry e runs through 0..m-1 in
+    runs of m^(k-1-e) fields.
     """
-    count = m**k
-    fields = [v.to_bytes(width, "little") for v in range(m)]
-    digits = []
-    run = count
-    for _ in range(k):
-        run //= m
-        digits.append(int.from_bytes(b"".join(f * run for f in fields) * (count // (run * m)), "little"))
-    return digits
+    fields = [v.to_bytes(width, "little") for v in values]
+    m = len(fields)
+    return [
+        int.from_bytes(b"".join(f * m ** (k - 1 - e) for f in fields) * m**e, "little") for e in range(k)
+    ]
 
 
 def _spot_check_packing(m: int, n: int) -> tuple:
@@ -144,7 +133,7 @@ def _spot_check_packing(m: int, n: int) -> tuple:
     residual fields, in [-n^2 (m-1)^3, n^2 (m-1)^3], by the carry-free rule.
     """
     width, repunit, lift, high = _mask_packing(n * n * (m - 1) ** 3, m, m ** (n * n - 1))
-    return repunit, _packed_digits(m, n * n - 1, width), lift, high
+    return repunit, _packed_digits(range(m), n * n - 1, width), lift, high
 
 
 def _every_b_holds(rows: tuple, m: int, packing: tuple) -> bool:
@@ -210,19 +199,27 @@ _ONE_IF_NONZERO = bytes(1) + b"\x01" * 255  # bytes.translate table
 def _form_table(n: int) -> tuple:
     """Every form the sweep evaluates at order n, split once per side.
 
-    A form (a, b, c, d, e, f, g, h) stands for r[a][b] r[c][d] - r[e][f] r[g][h]
-    on A's rows r.  The for-every-B side has the unit-probe residual
-    entries: in row x != j, the residual of the probe with its unit at
-    (l, j) is a_xl row_j(A) - a_jl row_x(A), and in row j it is zero.  The
-    minor side has the 2x2 minors a_ik a_jl - a_il a_jk.  Each side is a
-    pair (forms on the first n-1 rows alone, forms that use the last row).
+    The for-every-B side has the unit-probe residual entries: in row x != j,
+    the residual of the probe with its unit at (l, j) is
+    a_xl row_j(A) - a_jl row_x(A), and in row j it is zero.  The minor side
+    has the 2x2 minors a_ik a_jl - a_il a_jk.  Each side is a pair: its
+    forms on the first n-1 rows, (a, b, c, d, e, f, g, h) standing for
+    r[a][b] r[c][d] - r[e][f] r[g][h] on A's rows r, and its forms that use
+    the last row, once in each product, (p, q, s, p2, q2, s2) standing for
+    r[p][q] r[n-1][s] - r[p2][q2] r[n-1][s2].
     """
     pairs = list(itertools.combinations(range(n), 2))
     probes = [(x, l, j, c, j, l, x, c) for l, j, x, c in itertools.product(range(n), repeat=4) if x != j]
     minors = [(i, k, j, l, i, l, j, k) for i, j in pairs for k, l in pairs]
+
+    def split(a, b, c, d):
+        # r[a][b] r[c][d] as its factor on the first rows and its column on the last row
+        return (c, d, b) if a == n - 1 else (a, b, d)
+
     # a form uses the last row when one of its row indices a, c, e, g is n - 1
     return tuple(
-        (tuple(f for f in side if n - 1 not in f[::2]), tuple(f for f in side if n - 1 in f[::2]))
+        (tuple(f for f in side if n - 1 not in f[::2]),
+         tuple(split(*f[:4]) + split(*f[4:]) for f in side if n - 1 in f[::2]))
         for side in (probes, minors)
     )
 
@@ -230,16 +227,18 @@ def _form_table(n: int) -> tuple:
 def _block_fails(r, table, decide) -> tuple[bytes, bytes]:
     """Both sides of a block: byte t of each is 1 iff matrix t fails that side.
 
-    r holds A's first n-1 rows as ints and its last row packed.  decide
-    turns one side's values, those of its forms on the first rows apart
-    from those on the last row, into the block's bytes.  The for-every-B
-    side comes first, then the minor side.
+    r holds A's first n-1 rows as ints, then the residue table.  decide
+    turns one side's values into the block's bytes: a form on the first
+    rows has its value over Z, and a form on the last row the xor of two
+    residue table entries, whose byte t is 0 iff the form is 0 mod m on
+    matrix t.  The for-every-B side comes first, then the minor side.
     """
-
-    def values(forms):
-        return [r[a][b] * r[c][d] - r[e][f] * r[g][h] for a, b, c, d, e, f, g, h in forms]
-
-    return tuple(decide(values(const), values(packed)) for const, packed in table)
+    residues = r[-1]
+    return tuple(
+        decide([r[a][b] * r[c][d] - r[e][f] * r[g][h] for a, b, c, d, e, f, g, h in const],
+               [residues[r[p][q]][s] ^ residues[r[p2][q2]][s2] for p, q, s, p2, q2, s2 in last])
+        for const, last in table
+    )
 
 
 def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
@@ -249,11 +248,11 @@ def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
     enumeration order, and each block is decided on both sides at once: the
     for-every-B side on the n^2 unit probes, the minor side on the minors.
     A form on the first rows alone is one value for the whole block; a form
-    on the last row is linear in it, and with that row packed, one field per
-    matrix, holds each matrix's value in [-(m-1)^2, (m-1)^2] in its own
-    field.  Every SPOT_CHECK_EVERY-th matrix (the first included) also runs
-    the full-B enumeration, which must agree with its probe decision; the
-    packing of those spot checks is built once per call.
+    on the last row compares two bytes of the residue table per matrix, by
+    the xor rule of the module docstring.  Every SPOT_CHECK_EVERY-th matrix
+    (the first included) also runs the full-B enumeration, which must agree
+    with its probe decision.  The residue table and the packing of the spot
+    checks are built once per call.
     """
     if n < 2:
         raise TooSmall("exhaustive characterization needs n >= 2")
@@ -266,37 +265,29 @@ def exhaustive_characterization(ring: Ring, n: int) -> EquivalenceReport:
             f"{total} matrices and {checks} spot checks of {total} B exceed the {WORK_BUDGET} work budget"
         )
     block = m**n  # matrices per block: A's last row runs through values
-    offset, width, code = _packing((m - 1) ** 2, m)
-    lift = offset * _repunit(width, block)
     all_fail = b"\x01" * block
 
-    def decide(const, packed):
-        # byte t is 1 iff some form is nonzero mod m on matrix t; a const
-        # form has one value for the whole block, a packed one a field each
+    def decide(const, last):
+        # byte t is 1 iff some form is nonzero mod m on matrix t; a form on
+        # the first rows has one value for the whole block
         if any(v % m for v in const):
             return all_fail
-        # -x has x's fields negated, so abs(x) decides for both, and a form
-        # that is 0 over Z is 0 on every matrix
-        forms = set(map(abs, packed))
-        forms.discard(0)
         flags = 0
-        for x in forms:
-            # byte t of flags is field t's residue, which fits a byte: the
-            # budget keeps m below 32
-            fields = _unpack(x + lift, width, code, block)
-            flags |= int.from_bytes(bytes(map(m.__rmod__, fields)), "little")
+        for x in last:
+            flags |= x
         return flags.to_bytes(block, "little").translate(_ONE_IF_NONZERO)
 
-    table = _form_table(n)  # two multiplications and a subtraction per form value
-    form_values = sum(len(const) + len(packed) * block for const, packed in table)
-    last = tuple(_packed_digits(m, n, width))
+    table = _form_table(n)  # counted as two multiplications and a subtraction per form value
+    form_values = sum(len(const) + len(last) * block for const, last in table)
+    # byte t of residues[u][s] is u times entry s of matrix t's last row, mod m
+    residues = tuple(_packed_digits([u * v % m for v in values], n, 1) for u in values)
     spot = _spot_check_packing(m, n)
     all_rows = list(itertools.product(values, repeat=n))
     ident_count = minors_count = 0
     mismatches: list[Matrix] = []
     for index, prefix in enumerate(itertools.product(all_rows, repeat=n - 1)):
         _bump(2 * form_values, form_values)
-        fails, unstructured = _block_fails(prefix + (last,), table, decide)
+        fails, unstructured = _block_fails(prefix + (residues,), table, decide)
         for t in range(-index * block % SPOT_CHECK_EVERY, block, SPOT_CHECK_EVERY):
             rows = prefix + (all_rows[t],)
             if (not fails[t]) != _every_b_holds(rows, m, spot):

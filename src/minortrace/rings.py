@@ -186,7 +186,7 @@ def _is_prime_once(p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Packed fields (Kronecker substitution), one codec shared with the oracle
+# Packed fields (Kronecker substitution) for the matrix product; the oracle takes only _repunit
 
 # Products with any dimension below these use the plain dot loop: packing
 # costs O(k * cols) and pays off only across many rows, and a single

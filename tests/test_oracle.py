@@ -194,10 +194,11 @@ def test_spot_check_catches_a_wrong_probe_decision(monkeypatch):
     assert len(calls) == oracle.SPOT_CHECK_EVERY // block + 1
 
 
-SWEEP_CONFIGS = [(ModularRing(m), 2) for m in (2, 3, 4, 5, 6, 8, 12)]
+SWEEP_CONFIGS = [(ModularRing(m), 2) for m in (2, 3, 4, 5, 6, 8, 12, 16)]
 SWEEP_CONFIGS += [(PrimeFieldRing(p), 2) for p in (2, 3, 5)]
-SWEEP_CONFIGS += [(ModularRing(2), 3), (PrimeFieldRing(2), 3)]
-# without word codes the fields are cut from the bytes one by one
+SWEEP_CONFIGS += [(ModularRing(2), 3), (ModularRing(3), 3), (PrimeFieldRing(2), 3)]
+# an exhaust report must not depend on the host's word codes (none on a
+# big-endian host)
 NO_WORD_CODES = [(ModularRing(3), 2), (ModularRing(12), 2), (PrimeFieldRing(2), 3)]
 SWEEP_PARAMS = [pytest.param(ring, n, True, id=f"{ring}-{n}") for ring, n in SWEEP_CONFIGS]
 SWEEP_PARAMS += [
@@ -207,10 +208,25 @@ SWEEP_PARAMS += [
 
 @pytest.mark.parametrize("ring, n, word_codes", SWEEP_PARAMS)
 def test_sweep_equals_the_per_matrix_reference(ring, n, word_codes, monkeypatch):
-    # Z/12's lifted fields take two bytes (2 * 132 >= 256); the others take one
     if not word_codes:
         monkeypatch.setattr(rings, "_WORD_CODES", {})
     assert exhaustive_characterization(ring, n) == exhaustive_characterization_per_matrix(ring, n)
+
+
+@pytest.mark.parametrize("ring, n", [(ModularRing(6), 2), (ModularRing(2), 3)], ids=str)
+def test_the_sweep_decodes_no_packed_field(ring, n, monkeypatch):
+    # the sweep compares residue bytes, and at n <= 4 the spot check's
+    # integer products run the dot loop, below the packed floor of 10, so
+    # no part of exhaust reaches the codec's field format or decode
+    want = exhaustive_characterization(ring, n)
+
+    def refuse(*args):
+        raise AssertionError("a packed field was decoded")
+
+    for name in ("_unpack", "_field_format"):
+        monkeypatch.setattr(rings, name, refuse)
+        monkeypatch.setattr(oracle, name, refuse, raising=False)
+    assert exhaustive_characterization(ring, n) == want
 
 
 def test_sweep_reports_wrong_probe_decisions_as_mismatches(monkeypatch):
@@ -286,6 +302,9 @@ def rank_at_most_one_count(m, n):
         (ModularRing(6), 2, 330),
         (PrimeFieldRing(7), 2, 385),
         (ModularRing(10), 2, 1450),
+        # the largest squarefree moduli the work budget accepts
+        (ModularRing(14), 2, 3850),
+        (ModularRing(15), 2, 4785),
         (ModularRing(2), 3, 50),
     ],
     ids=str,
